@@ -111,7 +111,7 @@ let lbalg_trial ~dual ~params ~plan ~horizon ~seed =
   | [ entry ] ->
       List.iter
         (fun (v, round) -> if round < first.(v) then first.(v) <- round)
-        entry.L.Lb_env.recv_rounds
+        (L.Lb_env.recv_rounds entry)
   | _ -> ());
   ((fun v -> if first.(v) = max_int then None else Some first.(v)), ack_breaches)
 

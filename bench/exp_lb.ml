@@ -41,7 +41,8 @@ let e5 () =
             let report, _ = run_lb_trial ~dual ~params ~senders ~phases ~seed () in
             ( report.L.Lb_spec.progress_opportunities,
               report.L.Lb_spec.progress_failures,
-              List.map float_of_int report.L.Lb_spec.progress_latencies ))
+              Array.to_list
+                (Array.map float_of_int report.L.Lb_spec.progress_latencies) ))
       in
       let opportunities = ref 0 and failures = ref 0 in
       let latencies = ref [] in

@@ -128,7 +128,7 @@ let lbalg_trial arena ~seed =
   | [ entry ] ->
       List.iter
         (fun (v, round) -> if round < first.(v) then first.(v) <- round)
-        entry.Localcast.Lb_env.recv_rounds
+        (Localcast.Lb_env.recv_rounds entry)
   | _ -> ());
   (first, !cost, plan)
 

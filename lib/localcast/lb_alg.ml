@@ -128,15 +128,19 @@ let body_action state =
         | Sending _ | Receiving -> P.Listen
       end
 
-let decide state ~round inputs =
-  let params = state.params in
-  List.iter
-    (fun (Messages.Bcast m) ->
+(* Direct recursion rather than [List.iter]: no closure per call. *)
+let rec take_inputs state = function
+  | [] -> ()
+  | Messages.Bcast m :: rest ->
       (* The LB environment contract: one outstanding bcast per node. *)
       assert (state.pending = None);
       (match state.mode with Receiving -> () | Sending _ -> assert false);
-      state.pending <- Some m)
-    inputs;
+      state.pending <- Some m;
+      take_inputs state rest
+
+let decide state ~round inputs =
+  let params = state.params in
+  take_inputs state inputs;
   let phase = phase_of_round params round in
   let pos = position_in_phase params round in
   if pos = 0 then begin

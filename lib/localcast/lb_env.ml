@@ -1,10 +1,34 @@
+(* Receptions are packed one int each, [round lsl recv_shift lor
+   receiver], in a growing array: an outcome keeps every entry's log, so
+   a list of pairs (six words a reception) dominated its size. *)
+type receptions = { mutable packed : int array; mutable count : int }
+
 type entry = {
   node : int;
   payload : Messages.payload;
   bcast_round : int;
   mutable ack_round : int option;
-  mutable recv_rounds : (int * int) list;
+  receptions : receptions;
 }
+
+let recv_shift = 30
+
+let add_recv e ~node ~round =
+  assert (node >= 0 && node < 1 lsl recv_shift);
+  let r = e.receptions in
+  if r.count = Array.length r.packed then begin
+    let grown = Array.make (max 4 (2 * r.count)) 0 in
+    Array.blit r.packed 0 grown 0 r.count;
+    r.packed <- grown
+  end;
+  r.packed.(r.count) <- (round lsl recv_shift) lor node;
+  r.count <- r.count + 1
+
+let recv_rounds e =
+  let r = e.receptions in
+  List.init r.count (fun i ->
+      let p = r.packed.(r.count - 1 - i) in
+      (p land ((1 lsl recv_shift) - 1), p lsr recv_shift))
 
 type t = {
   env : (Messages.lb_input, Messages.lb_output) Radiosim.Env.t;
@@ -52,7 +76,7 @@ let make ~name ~n ~initial ~reissue =
                       payload;
                       bcast_round = round;
                       ack_round = None;
-                      recv_rounds = [];
+                      receptions = { packed = [||]; count = 0 };
                     }
                     :: !entries;
                   [ Messages.Bcast payload ]
@@ -69,7 +93,7 @@ let make ~name ~n ~initial ~reissue =
                       if reissue then schedule.(node) <- Some (round + 1)
                   | Messages.Recv payload ->
                       (match find_in entries ~node:payload.Messages.src payload with
-                      | Some e -> e.recv_rounds <- (node, round) :: e.recv_rounds
+                      | Some e -> add_recv e ~node ~round
                       | None -> ())
                   | Messages.Committed _ -> ())
                 outs);

@@ -6,14 +6,21 @@
     which the {!Lb_spec} checker consumes to reconstruct the
     actively-broadcasting intervals. *)
 
+type receptions
+(** The [Recv]s of one payload, packed one int each; read them with
+    {!recv_rounds}. *)
+
 type entry = {
   node : int;
   payload : Messages.payload;
   bcast_round : int;
   mutable ack_round : int option;
-  mutable recv_rounds : (int * int) list;
-      (** [(receiver, round)] of every [Recv] of this payload *)
+  receptions : receptions;
 }
+
+val recv_rounds : entry -> (int * int) list
+(** [(receiver, round)] of every [Recv] of the entry's payload, latest
+    first. *)
 
 type t
 

@@ -12,7 +12,7 @@ type report = {
   reliability_failures : int;
   progress_opportunities : int;
   progress_failures : int;
-  progress_latencies : int list;
+  progress_latencies : int array;
 }
 
 let reliability_rate r =
@@ -116,107 +116,120 @@ let close_phase m =
   Array.fill m.active_all 0 m.n true;
   Array.fill m.first_reception 0 m.n (-1)
 
+(* The per-node passes of [observe] recurse over each node's list
+   directly, so a round allocates no closure. *)
+
+(* 1. bcast inputs make their node active from this round on. *)
+let rec note_bcasts m ~round u = function
+  | [] -> ()
+  | Messages.Bcast payload :: rest ->
+      m.active.(u) <- Some payload;
+      Hashtbl.replace m.bcast_round payload round;
+      note_bcasts m ~round u rest
+
+(* 3a. recv outputs: validity + reliability bookkeeping. *)
+let rec note_recvs m u = function
+  | [] -> ()
+  | Messages.Recv payload :: rest ->
+      let src = payload.Messages.src in
+      let valid =
+        src <> u
+        && Dualgraph.Graph.mem_edge (Dual.g' m.dual) u src
+        && (match m.active.(src) with
+           | Some p -> Messages.payload_equal p payload
+           | None -> false)
+      in
+      if not valid then m.validity_violations <- m.validity_violations + 1;
+      let set =
+        match Hashtbl.find_opt m.receivers payload with
+        | Some set -> set
+        | None ->
+            let set = Hashtbl.create 8 in
+            Hashtbl.add m.receivers payload set;
+            set
+      in
+      Hashtbl.replace set u ();
+      note_recvs m u rest
+  | (Messages.Ack _ | Messages.Committed _) :: rest -> note_recvs m u rest
+
+(* 3b. ack outputs: latency + reliability verdicts; the node stays
+   active through the ack round itself.  Returns [acked] with [u] added
+   once per ack. *)
+let rec note_acks m ~round u acked = function
+  | [] -> acked
+  | Messages.Ack payload :: rest ->
+      m.ack_count <- m.ack_count + 1;
+      let b_opt = Hashtbl.find_opt m.bcast_round payload in
+      (match b_opt with
+      | Some b ->
+          let latency = round - b in
+          if latency > m.max_ack_latency then m.max_ack_latency <- latency;
+          (* A sender that was down inside [b, round] owes no
+             timeliness claim for this bcast. *)
+          if latency > m.t_ack && survivor m ~node:u ~from:b ~until:round
+          then m.late_ack_count <- m.late_ack_count + 1;
+          Hashtbl.remove m.bcast_round payload
+      | None -> ());
+      m.reliability_attempts <- m.reliability_attempts + 1;
+      let received_by =
+        match Hashtbl.find_opt m.receivers payload with
+        | Some set -> set
+        | None -> Hashtbl.create 1
+      in
+      (* Reliability is owed to the neighbors alive for the whole
+         [bcast, ack] window; the dead owe and are owed nothing. *)
+      let from = match b_opt with Some b -> b | None -> round in
+      let all_neighbors_got_it =
+        Dual.fold_reliable_neighbors m.dual u ~init:true ~f:(fun acc v ->
+            acc
+            && ((not (survivor m ~node:v ~from ~until:round))
+               || Hashtbl.mem received_by v))
+      in
+      if not all_neighbors_got_it then
+        m.reliability_failures <- m.reliability_failures + 1;
+      note_acks m ~round u (u :: acked) rest
+  | (Messages.Recv _ | Messages.Committed _) :: rest ->
+      note_acks m ~round u acked rest
+
+let rec deactivate m = function
+  | [] -> ()
+  | u :: rest ->
+      m.active.(u) <- None;
+      deactivate m rest
+
 let observe m (record : (Messages.msg, Messages.lb_input, Messages.lb_output) Trace.round_record) =
   assert (not m.finished);
   let round = record.Trace.round in
-  (* 1. bcast inputs make their node active from this round on. *)
-  Array.iteri
-    (fun u ins ->
-      List.iter
-        (fun (Messages.Bcast payload) ->
-          m.active.(u) <- Some payload;
-          Hashtbl.replace m.bcast_round payload round)
-        ins)
-    record.Trace.inputs;
+  let inputs = record.Trace.inputs in
+  for u = 0 to Array.length inputs - 1 do
+    note_bcasts m ~round u inputs.(u)
+  done;
   (* 2. clean receptions of data from an actively-broadcasting source are
      qualifying progress receptions. *)
-  Array.iteri
-    (fun u delivered ->
-      match delivered with
-      | Some (Messages.Data payload) -> (
-          match m.active.(payload.Messages.src) with
-          | Some active_payload
-            when Messages.payload_equal active_payload payload ->
-              if m.first_reception.(u) < 0 then
-                m.first_reception.(u) <-
-                  round mod m.params.Params.phase_len
-          | _ -> ())
-      | Some (Messages.Seed_msg _) | None -> ())
-    record.Trace.delivered;
-  (* 3a. recv outputs: validity + reliability bookkeeping. *)
-  Array.iteri
-    (fun u outs ->
-      List.iter
-        (fun out ->
-          match out with
-          | Messages.Recv payload ->
-              let src = payload.Messages.src in
-              let valid =
-                src <> u
-                && Dualgraph.Graph.mem_edge (Dual.g' m.dual) u src
-                && (match m.active.(src) with
-                   | Some p -> Messages.payload_equal p payload
-                   | None -> false)
-              in
-              if not valid then m.validity_violations <- m.validity_violations + 1;
-              let set =
-                match Hashtbl.find_opt m.receivers payload with
-                | Some set -> set
-                | None ->
-                    let set = Hashtbl.create 8 in
-                    Hashtbl.add m.receivers payload set;
-                    set
-              in
-              Hashtbl.replace set u ()
-          | Messages.Ack _ | Messages.Committed _ -> ())
-        outs)
-    record.Trace.outputs;
-  (* 3b. ack outputs: latency + reliability verdicts; the node stays
-     active through the ack round itself. *)
+  let delivered = record.Trace.delivered in
+  for u = 0 to Array.length delivered - 1 do
+    match delivered.(u) with
+    | Some (Messages.Data payload) -> (
+        match m.active.(payload.Messages.src) with
+        | Some active_payload
+          when Messages.payload_equal active_payload payload ->
+            if m.first_reception.(u) < 0 then
+              m.first_reception.(u) <- round mod m.params.Params.phase_len
+        | _ -> ())
+    | Some (Messages.Seed_msg _) | None -> ()
+  done;
+  let outputs = record.Trace.outputs in
+  for u = 0 to Array.length outputs - 1 do
+    note_recvs m u outputs.(u)
+  done;
   let acked = ref [] in
-  Array.iteri
-    (fun u outs ->
-      List.iter
-        (fun out ->
-          match out with
-          | Messages.Ack payload ->
-              acked := u :: !acked;
-              m.ack_count <- m.ack_count + 1;
-              let b_opt = Hashtbl.find_opt m.bcast_round payload in
-              (match b_opt with
-              | Some b ->
-                  let latency = round - b in
-                  if latency > m.max_ack_latency then m.max_ack_latency <- latency;
-                  (* A sender that was down inside [b, round] owes no
-                     timeliness claim for this bcast. *)
-                  if latency > m.t_ack && survivor m ~node:u ~from:b ~until:round
-                  then m.late_ack_count <- m.late_ack_count + 1;
-                  Hashtbl.remove m.bcast_round payload
-              | None -> ());
-              m.reliability_attempts <- m.reliability_attempts + 1;
-              let received_by =
-                match Hashtbl.find_opt m.receivers payload with
-                | Some set -> set
-                | None -> Hashtbl.create 1
-              in
-              (* Reliability is owed to the neighbors alive for the whole
-                 [bcast, ack] window; the dead owe and are owed nothing. *)
-              let from = match b_opt with Some b -> b | None -> round in
-              let all_neighbors_got_it =
-                Dual.fold_reliable_neighbors m.dual u ~init:true ~f:(fun acc v ->
-                    acc
-                    && ((not (survivor m ~node:v ~from ~until:round))
-                       || Hashtbl.mem received_by v))
-              in
-              if not all_neighbors_got_it then
-                m.reliability_failures <- m.reliability_failures + 1
-          | Messages.Recv _ | Messages.Committed _ -> ())
-        outs)
-    record.Trace.outputs;
+  for u = 0 to Array.length outputs - 1 do
+    acked := note_acks m ~round u !acked outputs.(u)
+  done;
   (* 4. progress: a node must be active (and alive) in every round of the
      phase. *)
   for v = 0 to m.n - 1 do
-    if m.active.(v) = None then m.active_all.(v) <- false
+    match m.active.(v) with None -> m.active_all.(v) <- false | Some _ -> ()
   done;
   (match m.faults with
   | None -> ()
@@ -226,7 +239,7 @@ let observe m (record : (Messages.msg, Messages.lb_input, Messages.lb_output) Tr
           m.active_all.(v) <- false
       done);
   (* 5. acked senders stop being active after this round. *)
-  List.iter (fun u -> m.active.(u) <- None) !acked;
+  deactivate m !acked;
   m.rounds_observed <- m.rounds_observed + 1;
   if m.rounds_observed mod m.params.Params.phase_len = 0 then close_phase m
 
@@ -260,7 +273,7 @@ let finish m =
     reliability_failures = m.reliability_failures;
     progress_opportunities = m.progress_opportunities;
     progress_failures = m.progress_failures;
-    progress_latencies = List.rev m.progress_latencies_rev;
+    progress_latencies = Array.of_list (List.rev m.progress_latencies_rev);
   }
 
 let check_trace ?faults ~dual ~params ~env trace =

@@ -48,7 +48,7 @@ type report = {
       (** (receiver, phase) pairs with a reliable neighbor active
           throughout the phase *)
   progress_failures : int;  (** opportunities with no qualifying reception *)
-  progress_latencies : int list;
+  progress_latencies : int array;
       (** for each successful opportunity, the offset (in rounds, from the
           phase start) of the first qualifying reception — the raw data
           behind the latency percentiles in experiment E5 *)

@@ -7,24 +7,32 @@ type t = {
   params : Params.seed;
   id : int;
   rng : Prng.Rng.t;
-  initial_seed : Prng.Bitstring.t;
+  initial_seed : Prng.Bitstring.t Lazy.t;
+      (** drawn from a copy of [rng] taken before [rng] skipped past it *)
   mutable status : status;
   mutable decision : Messages.seed_announcement option;
   mutable pending_event : Messages.seed_announcement option;
 }
 
+(* Only leaders and nodes still active at the end use their own seed;
+   everyone else adopts a neighbour's.  So the seed's κ draws are
+   skipped in O(1) now and replayed from a saved copy of the generator
+   when, and if, the seed is first used. *)
 let create params ~id ~rng =
+  let kappa = params.Params.kappa in
+  let seed_rng = Prng.Rng.copy rng in
+  Prng.Rng.skip rng kappa;
   {
     params;
     id;
     rng;
-    initial_seed = Prng.Bitstring.random rng params.Params.kappa;
+    initial_seed = lazy (Prng.Bitstring.random seed_rng kappa);
     status = Active;
     decision = None;
     pending_event = None;
   }
 
-let initial_seed t = t.initial_seed
+let initial_seed t = Lazy.force t.initial_seed
 let status t = t.status
 let duration t = Params.seed_duration t.params
 
@@ -50,13 +58,13 @@ let decide_action t ~local_round =
       let p = 1.0 /. float_of_int (1 lsl (params.Params.phases - h + 1)) in
       if Prng.Rng.bernoulli t.rng p then begin
         t.status <- Leader h;
-        decide t { Messages.owner = t.id; seed = t.initial_seed }
+        decide t { Messages.owner = t.id; seed = initial_seed t }
       end
   | Active | Leader _ | Inactive -> ());
   match t.status with
   | Leader _ when Prng.Rng.bernoulli t.rng params.Params.broadcast_prob ->
       Radiosim.Process.Transmit
-        (Messages.Seed_msg { Messages.owner = t.id; seed = t.initial_seed })
+        (Messages.Seed_msg { Messages.owner = t.id; seed = initial_seed t })
   | Leader _ | Active | Inactive -> Radiosim.Process.Listen
 
 let absorb t ~local_round:_ received =
@@ -75,7 +83,7 @@ let finalize t =
   match t.status with
   | Active ->
       t.status <- Inactive;
-      decide t { Messages.owner = t.id; seed = t.initial_seed }
+      decide t { Messages.owner = t.id; seed = initial_seed t }
   | Leader _ | Inactive -> ()
 
 let decision t = t.decision

@@ -28,7 +28,11 @@ type status =
   | Inactive
 
 val create : Params.seed -> id:int -> rng:Prng.Rng.t -> t
-(** Draws the initial seed uniformly from [{0,1}^kappa] using [rng]. *)
+(** Draws the initial seed uniformly from [{0,1}^kappa] using [rng]: the
+    seed is the first [kappa] coins of [rng], and [rng] continues after
+    them.  The coins are skipped in O(1) and the seed is only built when
+    first used (leader election, {!finalize} or {!initial_seed}); the
+    result is the same as drawing it eagerly. *)
 
 val initial_seed : t -> Prng.Bitstring.t
 

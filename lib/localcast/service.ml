@@ -117,7 +117,7 @@ let one_shot ?scheduler ?sink ?metrics ?faults ?reception ~dual ~params
               let first_recv =
                 List.filter_map
                   (fun (u, round) -> if u = v then Some round else None)
-                  entry.Lb_env.recv_rounds
+                  (Lb_env.recv_rounds entry)
                 |> List.fold_left min max_int
               in
               if first_recv = max_int then all := false

@@ -17,11 +17,9 @@ let set_bit data i =
 
 let random rng k =
   assert (k >= 0);
-  let t = make_empty k in
-  for i = 0 to k - 1 do
-    if Rng.bool rng then set_bit t.data i
-  done;
-  t
+  let data = Bytes.create (byte_count k) in
+  Rng.fill_bools rng data k;
+  { len = k; data }
 
 let of_bools bools =
   let t = make_empty (List.length bools) in
@@ -78,19 +76,34 @@ let take_bit c =
   c.pos <- c.pos + 1;
   b
 
+(* Bit [i] of [data], as 0 or 1, without a bounds check. *)
+let bit_at data i = (Char.code (Bytes.unsafe_get data (i lsr 3)) lsr (i land 7)) land 1
+
+(* Reserve [k] bits at the cursor: one bounds check, then the bits
+   [\[pos, pos + k)] can be read unchecked. *)
+let reserve c k name =
+  let pos = c.pos in
+  if k < 0 || k > c.src.len - pos then invalid_arg ("Bitstring." ^ name ^ ": exhausted");
+  c.pos <- pos + k;
+  pos
+
 let take_int c k =
   assert (k >= 0 && k <= 30);
-  let rec go acc remaining =
-    if remaining = 0 then acc
-    else go ((acc lsl 1) lor (if take_bit c then 1 else 0)) (remaining - 1)
-  in
-  go 0 k
+  let pos = reserve c k "take_int" in
+  let data = c.src.data in
+  let v = ref 0 in
+  for i = pos to pos + k - 1 do
+    v := (!v lsl 1) lor bit_at data i
+  done;
+  !v
 
 let take_all_zero c k =
   (* Consume all [k] bits even after seeing a 1, so that nodes sharing a
      seed stay aligned on the same cursor position. *)
-  let all_zero = ref true in
-  for _ = 1 to k do
-    if take_bit c then all_zero := false
+  let pos = reserve c k "take_all_zero" in
+  let data = c.src.data in
+  let i = ref pos in
+  while !i < pos + k && bit_at data !i = 0 do
+    incr i
   done;
-  !all_zero
+  !i = pos + k

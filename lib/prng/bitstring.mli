@@ -20,7 +20,9 @@ val get : t -> int -> bool
     range. *)
 
 val random : Rng.t -> int -> t
-(** [random rng k] draws a uniform element of [{0,1}^k]. *)
+(** [random rng k] draws a uniform element of [{0,1}^k]: bit [i] is the
+    [i]-th of [k] coins drawn in bulk with {!Rng.fill_bools}, the same
+    coins [k] calls to {!Rng.bool} would give. *)
 
 val of_bools : bool list -> t
 
@@ -60,8 +62,12 @@ val take_bit : cursor -> bool
 
 val take_int : cursor -> int -> int
 (** [take_int c k] consumes [k] bits (most significant first) and returns
-    the value in [\[0, 2^k)].  Requires [0 <= k <= 30]. *)
+    the value in [\[0, 2^k)].  Requires [0 <= k <= 30].  Raises
+    [Invalid_argument], consuming nothing, if fewer than [k] bits
+    remain. *)
 
 val take_all_zero : cursor -> int -> bool
 (** [take_all_zero c k] consumes [k] bits and reports whether all were 0 —
-    the "participant" test of LBAlg's body round (probability [2^-k]). *)
+    the "participant" test of LBAlg's body round (probability [2^-k]).
+    Raises [Invalid_argument], consuming nothing, if [k < 0] or fewer
+    than [k] bits remain. *)

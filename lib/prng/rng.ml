@@ -8,6 +8,9 @@ let bits64 = Splitmix.next
 
 let bool t = Int64.logand (Splitmix.next t) 1L = 1L
 
+let skip = Splitmix.advance
+let fill_bools = Splitmix.fill_low_bits
+
 let bits t k =
   (* 62 is the widest width whose values are all non-negative OCaml ints
      on 64-bit platforms (an int has 63 value bits including the sign). *)

@@ -25,6 +25,16 @@ val bits64 : t -> int64
 val bool : t -> bool
 (** A fair coin. *)
 
+val skip : t -> int -> unit
+(** [skip t k] discards the next [k] draws in O(1): afterwards [t] is
+    where [k] calls to {!bool} (or {!bits64}) would leave it. *)
+
+val fill_bools : t -> Bytes.t -> int -> unit
+(** [fill_bools t buf k] draws [k] coins, the same ones [k] calls to
+    {!bool} would give, and stores the [i]-th as bit [i mod 8] of byte
+    [i / 8] of [buf] (1 for [true]).  Bits of the last byte past [k] are
+    cleared.  Raises [Invalid_argument] unless [0 <= k <= 8 · length buf]. *)
+
 val bits : t -> int -> int
 (** [bits t k] is a uniform integer in [\[0, 2^k)], for [0 <= k <= 62]
     (the full non-negative range of a 64-bit-platform OCaml int). *)

@@ -34,6 +34,18 @@ val copy : t -> t
 (** [copy t] duplicates the current state; both copies then produce the
     same stream.  Used by tests to check determinism. *)
 
+val advance : t -> int -> unit
+(** [advance t k] moves [t] past its next [k] outputs in O(1), leaving it
+    exactly where [k] calls to {!next} would.  SplitMix is a counter
+    generator: each output adds the fixed odd gamma to the state.
+    Raises [Invalid_argument] if [k < 0]. *)
+
+val fill_low_bits : t -> Bytes.t -> int -> unit
+(** [fill_low_bits t buf k] draws [k] outputs and stores the low bit of
+    the [i]-th one as bit [i mod 8] of byte [i / 8] of [buf], leaving [t]
+    where [k] calls to {!next} would.  Bits of the last byte past [k] are
+    cleared.  Raises [Invalid_argument] unless [0 <= k <= 8 · length buf]. *)
+
 val mix : int64 -> int64
 (** [mix z] is the 64-bit finalizer (mix function) used internally;
     exposed for hashing embedding coordinates into scheduler decisions. *)

@@ -18,7 +18,12 @@
    (a back-off relay network under jam windows, a sawtooth relay
    network under churn) pinning the E25 strategy/relay semantics —
    acquisition, local-round schedules, the global budget window and the
-   counter-mode per-node streams of Baseline.Strategy.
+   counter-mode per-node streams of Baseline.Strategy.  Two LBAlg
+   runs through Localcast.Service.run (SeedAlg agreement over two
+   phases; and under churn with Service.reviver, so revived nodes run
+   fresh SeedAlg preambles from their revival streams) pin the paper's
+   stack: seed draws, leader election, the shared body-round bits and
+   the protocol events of Lb_obs.
 
    Regenerating the corpus (after an intentional semantic change):
 
@@ -46,6 +51,11 @@ type processes =
       (** one E25 tournament cell: node 0 initially holds the payload,
           every node runs [Strategy.relay] under the [Strategy.parse]d
           spec with the given global budget window *)
+  | Lbalg of { eps1 : float; c : float; phases : int; every : int }
+      (** [Localcast.Service.run] with SeedAlg agreement for [phases]
+          LBAlg phases, parameters read off the field at [eps1] with the
+          SeedAlg-phase and Tprog constants both set to [c] (short
+          phases), every [every]-th node a saturated sender *)
 
 type config = {
   name : string;
@@ -180,13 +190,33 @@ let configs =
       faults = Some "churn:0.02,8";
       reception = "dual";
     };
+    {
+      name = "lbalg_seed_agreement";
+      seed = 23;
+      n = 10;
+      rounds = 0 (* [phases] sets the length *);
+      processes = Lbalg { eps1 = 0.25; c = 1.0; phases = 2; every = 3 };
+      scheduler = (fun ~seed -> Sch.bernoulli ~seed ~p:0.5);
+      faults = None;
+      reception = "dual";
+    };
+    {
+      name = "lbalg_churn_revive";
+      seed = 24;
+      n = 11;
+      rounds = 0 (* [phases] sets the length *);
+      processes = Lbalg { eps1 = 0.25; c = 0.5; phases = 4; every = 2 };
+      scheduler = (fun ~seed -> Sch.bernoulli ~seed ~p:0.5);
+      faults = Some "churn:0.02,8";
+      reception = "dual";
+    };
   ]
 
 (* Most golden processes are deliberately protocol-free: i.i.d.
    Bernoulli transmitters, so the corpus pins engine/fault/scheduler
-   semantics without churning whenever LBAlg's internals evolve.  The
-   two Relay configs additionally pin the strategy/relay layer that the
-   E25 tournament is built on. *)
+   semantics independently of any protocol.  The two Relay configs
+   additionally pin the strategy/relay layer that the E25 tournament is
+   built on, and the two Lbalg configs pin LBAlg and SeedAlg. *)
 let process ~p ~src ~rng =
   {
     P.decide =
@@ -216,12 +246,25 @@ let strategy_of ~name spec =
   | Ok t -> t
   | Error e -> Alcotest.failf "config %s: bad strategy spec: %s" name e
 
+let lbalg_params ~eps1 ~c dual =
+  let calibration =
+    { Localcast.Params.default_calibration with c_seed_phase = c; c_tprog = c }
+  in
+  Localcast.Params.of_dual ~calibration ~tack_phases:1 ~eps1 dual
+
 let run_config c =
   let rng = Rng.of_int c.seed in
   let dual =
     Geo.random_field ~rng ~n:c.n ~width:3.2 ~height:3.2 ~r:1.5 ~gray_g':0.5 ()
   in
   let n = Dual.n dual in
+  let rounds =
+    match c.processes with
+    | Lbalg { eps1; c = k; phases; _ } ->
+        phases * (lbalg_params ~eps1 ~c:k dual).Localcast.Params.phase_len
+    | Bernoulli _ | Relay _ -> c.rounds
+  in
+  let c = { c with rounds } in
   let faults =
     match c.faults with
     | None -> None
@@ -235,43 +278,52 @@ let run_config c =
     | Ok m -> m
     | Error e -> Alcotest.failf "config %s: bad reception spec: %s" c.name e
   in
-  let nodes =
-    match c.processes with
-    | Bernoulli p ->
-        let node_rng = Rng.of_int (c.seed + 1) in
-        Array.init n (fun src -> process ~p ~src ~rng:(Rng.split node_rng))
-    | Relay { spec; budget } ->
-        let strat = strategy_of ~name:c.name spec in
-        Array.init n (fun node ->
-            Baseline.Strategy.relay strat
-              ?initial:
-                (if node = 0 then Some (M.payload ~src:0 ~uid:0 ()) else None)
-              ~budget
-              ~rng:(Baseline.Strategy.node_rng ~seed:c.seed ~node ())
-              ~node ())
-  in
-  let revive ~node ~round =
-    match c.processes with
-    | Bernoulli p -> revive_of ~seed:c.seed ~p ~node ~round
-    | Relay { spec; budget } ->
-        (* A revived relay has lost the message: fresh strategy state on
-           the node's revival-round stream, silent until it re-acquires. *)
-        Baseline.Strategy.relay
-          (strategy_of ~name:c.name spec)
-          ~budget
-          ~rng:(Baseline.Strategy.node_rng ~round ~seed:c.seed ~node ())
-          ~node ()
-  in
   let sink =
     Obs.Sink.create ~capacity:(max 65536 (c.rounds * ((2 * n) + 8))) ()
   in
-  let (_ : int) =
-    Engine.run ~sink ?faults ~reception ~revive ~dual
-      ~scheduler:(c.scheduler ~seed:c.seed)
-      ~nodes
-      ~env:(Radiosim.Env.null ~name:c.name ())
-      ~rounds:c.rounds ()
+  let engine_run ~nodes ~revive =
+    let (_ : int) =
+      Engine.run ~sink ?faults ~reception ~revive ~dual
+        ~scheduler:(c.scheduler ~seed:c.seed)
+        ~nodes
+        ~env:(Radiosim.Env.null ~name:c.name ())
+        ~rounds:c.rounds ()
+    in
+    ()
   in
+  (match c.processes with
+  | Bernoulli p ->
+      let node_rng = Rng.of_int (c.seed + 1) in
+      engine_run
+        ~nodes:(Array.init n (fun src -> process ~p ~src ~rng:(Rng.split node_rng)))
+        ~revive:(fun ~node ~round -> revive_of ~seed:c.seed ~p ~node ~round)
+  | Relay { spec; budget } ->
+      let strat = strategy_of ~name:c.name spec in
+      engine_run
+        ~nodes:
+          (Array.init n (fun node ->
+               Baseline.Strategy.relay strat
+                 ?initial:
+                   (if node = 0 then Some (M.payload ~src:0 ~uid:0 ()) else None)
+                 ~budget
+                 ~rng:(Baseline.Strategy.node_rng ~seed:c.seed ~node ())
+                 ~node ()))
+        ~revive:(fun ~node ~round ->
+          (* A revived relay has lost the message: fresh strategy state on
+             the node's revival-round stream, silent until it re-acquires. *)
+          Baseline.Strategy.relay strat ~budget
+            ~rng:(Baseline.Strategy.node_rng ~round ~seed:c.seed ~node ())
+            ~node ())
+  | Lbalg { eps1; c = k; phases; every } ->
+      (* Service.run revives restarted nodes through Service.reviver. *)
+      let (_ : Localcast.Service.outcome) =
+        Localcast.Service.run ~sink ?faults ~reception ~dual
+          ~scheduler:(c.scheduler ~seed:c.seed)
+          ~params:(lbalg_params ~eps1 ~c:k dual)
+          ~senders:(List.filter (fun v -> v mod every = 0) (List.init n Fun.id))
+          ~phases ~seed:c.seed ()
+      in
+      ());
   if Obs.Sink.dropped sink > 0 then
     Alcotest.failf "config %s: sink dropped %d events (capacity too small)"
       c.name (Obs.Sink.dropped sink);

@@ -321,7 +321,7 @@ let test_env_one_shot () =
   checki "bcast round" 0 entry.Lb_env.bcast_round;
   checkb "acked" true (entry.Lb_env.ack_round <> None);
   checkb "receiver logged" true
-    (List.exists (fun (v, _) -> v = 1) entry.Lb_env.recv_rounds)
+    (List.exists (fun (v, _) -> v = 1) (Lb_env.recv_rounds entry))
 
 let test_env_saturate_reissues () =
   let dual = Geo.singleton () in
@@ -507,6 +507,87 @@ let test_spec_rates_empty () =
   checkb "reliability rate defaults to 1" true (Lb_spec.reliability_rate report = 1.0);
   checkb "progress rate defaults to 1" true (Lb_spec.progress_rate report = 1.0)
 
+(* --- allocation --- *)
+
+(* LBAlg's own [decide] + [absorb] allocate almost nothing per
+   node-round: a preamble builds only the seeds that leaders and
+   still-active nodes use, and a body round reads its shared bits in
+   place.  The processes are driven directly over a clique channel (a
+   lone transmitter is heard by everyone else), so only the two calls
+   are measured, at E9's parameters (κ = 10,352). *)
+let rec acked = function
+  | [] -> false
+  | M.Ack _ :: _ -> true
+  | (M.Recv _ | M.Committed _) :: rest -> acked rest
+
+let rec recvs = function
+  | [] -> 0
+  | M.Recv _ :: rest -> 1 + recvs rest
+  | (M.Ack _ | M.Committed _) :: rest -> recvs rest
+
+let test_decide_absorb_allocation () =
+  let n = 32 and senders = 4 in
+  let params =
+    Params.make ~tack_phases:1 ~delta:32 ~delta':48 ~r:1.5 ~eps1:0.1 ()
+  in
+  let nodes = Lb_alg.network params ~rng:(Rng.of_int 5) ~n in
+  (* One bcast per sender per phase, built before the measurement. *)
+  let phases = 2 in
+  let inputs =
+    Array.init n (fun v ->
+        Array.init (phases + 1) (fun uid ->
+            if v < senders then [ M.Bcast (M.payload ~src:v ~uid ()) ] else []))
+  in
+  let issued = Array.make n 0 and due = Array.make n true in
+  let actions = Array.make n P.Listen in
+  let words = [| 0.0; 0.0 |] and node_rounds = [| 0; 0 |] and delivered = ref 0 in
+  let probe_cost =
+    let w0 = Gc.minor_words () in
+    Gc.minor_words () -. w0
+  in
+  for round = 0 to (phases * params.Params.phase_len) - 1 do
+    let kind = if Lb_alg.is_preamble_round params round then 0 else 1 in
+    let w0 = Gc.minor_words () in
+    for v = 0 to n - 1 do
+      let ins = if due.(v) then inputs.(v).(issued.(v)) else [] in
+      if due.(v) then begin
+        due.(v) <- false;
+        issued.(v) <- issued.(v) + 1
+      end;
+      actions.(v) <- nodes.(v).P.decide ~round ins
+    done;
+    let transmitters = ref 0 and last = ref 0 in
+    for v = 0 to n - 1 do
+      match actions.(v) with
+      | P.Transmit _ ->
+          incr transmitters;
+          last := v
+      | P.Listen -> ()
+    done;
+    let heard =
+      match actions.(!last) with
+      | P.Transmit m when !transmitters = 1 -> Some m
+      | P.Transmit _ | P.Listen -> None
+    in
+    for v = 0 to n - 1 do
+      let received = if v = !last then None else heard in
+      let outs = nodes.(v).P.absorb ~round received in
+      delivered := !delivered + recvs outs;
+      if acked outs && v < senders then due.(v) <- true
+    done;
+    words.(kind) <- words.(kind) +. (Gc.minor_words () -. w0 -. probe_cost);
+    node_rounds.(kind) <- node_rounds.(kind) + n
+  done;
+  Array.iteri
+    (fun kind label ->
+      let per = words.(kind) /. float_of_int node_rounds.(kind) in
+      checkb
+        (Printf.sprintf "%s: %.3f minor words per node-round <= 2" label per)
+        true (per <= 2.0))
+    [| "preamble"; "body" |];
+  checkb "senders were acked and reissued" true (issued.(0) = phases);
+  checkb "data was received" true (!delivered > 0)
+
 let suite =
   List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
     [
@@ -543,4 +624,5 @@ let suite =
       ("spec progress needs full-phase activity", test_spec_progress_needs_full_phase_activity);
       ("spec partial phase ignored", test_spec_partial_phase_ignored);
       ("spec rates empty", test_spec_rates_empty);
+      ("decide + absorb allocation", test_decide_absorb_allocation);
     ]

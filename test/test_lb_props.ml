@@ -120,7 +120,7 @@ let qcheck_cases =
       small_int
       (fun seed ->
         let _, params, _, report, _ = random_run seed in
-        List.for_all
+        Array.for_all
           (fun l -> l >= 0 && l < params.Params.phase_len)
           report.Lb_spec.progress_latencies);
     Test.make ~name:"commit events carry real owners and full-length seeds"

@@ -237,6 +237,114 @@ let test_cursor_take_all_zero () =
   checkb "has a one" false (Bits.take_all_zero c 3);
   checki "all consumed" 0 (Bits.remaining c)
 
+(* --- frozen oracles for the bulk seed path --- *)
+
+(* Verbatim copy of the per-bit loop [Bitstring.random] ran before seeds
+   were drawn in bulk: one [Rng.bool] per bit, bit [i] stored as bit
+   [i mod 8] of byte [i / 8]. *)
+let random_per_bit rng k =
+  let data = Bytes.make ((k + 7) / 8) '\000' in
+  let set_bit data i =
+    let b = Char.code (Bytes.get data (i / 8)) in
+    Bytes.set data (i / 8) (Char.chr (b lor (1 lsl (i mod 8))))
+  in
+  for i = 0 to k - 1 do
+    if Rng.bool rng then set_bit data i
+  done;
+  data
+
+(* The per-bit reads [take_int] and [take_all_zero] used to make. *)
+let take_int_per_bit c k =
+  let v = ref 0 in
+  for _ = 1 to k do
+    v := (!v lsl 1) lor if Bits.take_bit c then 1 else 0
+  done;
+  !v
+
+let take_all_zero_per_bit c k =
+  let all_zero = ref true in
+  for _ = 1 to k do
+    if Bits.take_bit c then all_zero := false
+  done;
+  !all_zero
+
+let bytes_bits data k =
+  String.init k (fun i ->
+      if Char.code (Bytes.get data (i / 8)) land (1 lsl (i mod 8)) <> 0 then '1'
+      else '0')
+
+(* Lengths for the seed properties: 0, short ones straddling byte
+   boundaries, and seed-sized ones. *)
+let seed_length =
+  QCheck.frequency
+    [ (1, QCheck.always 0); (4, QCheck.int_bound 40); (2, QCheck.int_bound 12_000) ]
+
+let same_stream a b =
+  List.for_all (fun _ -> Int64.equal (Rng.bits64 a) (Rng.bits64 b)) [ 1; 2; 3 ]
+
+let oracle_cases =
+  let open QCheck in
+  [
+    Test.make ~name:"bulk Bitstring.random = per-bit Rng.bool loop" ~count:300
+      (pair int seed_length)
+      (fun (seed, k) ->
+        let bulk = Rng.of_int seed and oracle = Rng.of_int seed in
+        let b = Bits.random bulk k in
+        let expected = random_per_bit oracle k in
+        Bits.length b = k
+        && String.equal (Bits.to_string b) (bytes_bits expected k)
+        && same_stream bulk oracle);
+    Test.make ~name:"Rng.fill_bools writes the per-bit loop's bytes" ~count:300
+      (pair int seed_length)
+      (fun (seed, k) ->
+        let bulk = Rng.of_int seed and oracle = Rng.of_int seed in
+        (* Pre-filled with ones: padding bits past [k] must be cleared. *)
+        let data = Bytes.make ((k + 7) / 8) '\255' in
+        Rng.fill_bools bulk data k;
+        Bytes.equal data (random_per_bit oracle k) && same_stream bulk oracle);
+    Test.make ~name:"Rng.skip k = k draws" ~count:300
+      (pair int seed_length)
+      (fun (seed, k) ->
+        let skipped = Rng.of_int seed and drawn = Rng.of_int seed in
+        Rng.skip skipped k;
+        for _ = 1 to k do
+          ignore (Rng.bool drawn)
+        done;
+        same_stream skipped drawn);
+    Test.make ~name:"Splitmix.advance k = k calls to next" ~count:300
+      (pair int64 (int_bound 5_000))
+      (fun (seed, k) ->
+        let a = Sm.create seed and b = Sm.create seed in
+        Sm.advance a k;
+        for _ = 1 to k do
+          ignore (Sm.next b)
+        done;
+        Int64.equal (Sm.next a) (Sm.next b));
+    Test.make ~name:"take_int / take_all_zero = sequences of take_bit"
+      ~count:300
+      (triple int seed_length (small_list (pair bool (int_bound 30))))
+      (fun (seed, k, ops) ->
+        let b = Bits.random (Rng.of_int seed) k in
+        let fast = Bits.cursor b and slow = Bits.cursor b in
+        List.for_all
+          (fun (as_int, w) ->
+            if w > Bits.remaining slow then begin
+              (* Both refuse a read past the end. *)
+              (try
+                 ignore
+                   (if as_int then Bits.take_int fast w
+                    else Bool.to_int (Bits.take_all_zero fast w));
+                 false
+               with Invalid_argument _ -> true)
+              && Bits.position fast = Bits.position slow
+            end
+            else
+              (if as_int then Bits.take_int fast w = take_int_per_bit slow w
+               else Bits.take_all_zero fast w = take_all_zero_per_bit slow w)
+              && Bits.position fast = Bits.position slow)
+          ops);
+  ]
+
 (* --- qcheck properties --- *)
 
 let qcheck_cases =
@@ -307,3 +415,4 @@ let suite =
       ("cursor take_all_zero", test_cursor_take_all_zero);
     ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases
+  @ List.map QCheck_alcotest.to_alcotest oracle_cases

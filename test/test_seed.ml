@@ -347,6 +347,58 @@ let test_spec_owners_helper () =
     (Invalid_argument "Seed_spec.owners: execution is not well-formed") (fun () ->
       ignore (Seed_spec.owners ~decisions:[| []; [] |]))
 
+(* --- lazy seeds --- *)
+
+(* [Seed_core.create] skips the seed's coins and builds the seed on
+   first use.  Against a core whose seed is forced at creation (the
+   eager behaviour) and a frozen per-bit draw of the same coins, a lazy
+   core forced at any round — or never, when it adopts a neighbour's
+   seed — acts identically, commits the same seed and leaves its
+   generator at the same place. *)
+let lazy_seed_cases =
+  let open QCheck in
+  [
+    Test.make ~name:"lazy Seed_core = eager: same seed, same later draws"
+      ~count:100
+      (quad int (int_range 1 3000) small_nat bool)
+      (fun (seed, kappa, force_at, adopt) ->
+        let params = seed_params ~kappa () in
+        let oracle = Rng.of_int seed in
+        let coins = Array.make kappa false in
+        for i = 0 to kappa - 1 do
+          coins.(i) <- Rng.bool oracle
+        done;
+        let expected = Bits.of_bools (Array.to_list coins) in
+        let rng_eager = Rng.of_int seed and rng_lazy = Rng.of_int seed in
+        let eager = Seed_core.create params ~id:0 ~rng:rng_eager in
+        ignore (Seed_core.initial_seed eager);
+        let lazy_ = Seed_core.create params ~id:0 ~rng:rng_lazy in
+        let skipped =
+          Int64.equal
+            (Rng.bits64 (Rng.copy rng_lazy))
+            (Rng.bits64 (Rng.copy oracle))
+        in
+        let foreign = M.Seed_msg { M.owner = 9; seed = Bits.of_string "01" } in
+        let duration = Seed_core.duration lazy_ in
+        let same = ref true in
+        for round = 0 to duration - 1 do
+          if round = force_at then ignore (Seed_core.initial_seed lazy_);
+          let a = Seed_core.decide_action eager ~local_round:round in
+          let b = Seed_core.decide_action lazy_ ~local_round:round in
+          if a <> b then same := false;
+          let received = if adopt && round = 0 then Some foreign else None in
+          Seed_core.absorb eager ~local_round:round received;
+          Seed_core.absorb lazy_ ~local_round:round received
+        done;
+        Seed_core.finalize eager;
+        Seed_core.finalize lazy_;
+        skipped && !same
+        && Seed_core.decision eager = Seed_core.decision lazy_
+        && Bits.equal (Seed_core.initial_seed eager) expected
+        && Bits.equal (Seed_core.initial_seed lazy_) expected
+        && Int64.equal (Rng.bits64 rng_eager) (Rng.bits64 rng_lazy));
+  ]
+
 let suite =
   List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
     [
@@ -376,3 +428,4 @@ let suite =
       ("spec counts owners", test_spec_counts_owners);
       ("spec owners helper", test_spec_owners_helper);
     ]
+  @ List.map QCheck_alcotest.to_alcotest lazy_seed_cases
