@@ -1,9 +1,9 @@
 (** Heavy-traffic multi-message serving over the abstract MAC layer.
 
-    {!Multi_broadcast} disseminates a {e fixed} batch of [k] messages and
-    keeps O(k·n) delivery state — fine for experiments, fatal for the
-    production posture: an ongoing service facing millions of arrivals
-    has no [k].  This module is the open-loop serving engine: an
+    Disseminating a {e fixed} batch of [k] messages with O(k·n)
+    delivery state is fine for experiments, fatal for the production
+    posture: an ongoing service facing millions of arrivals has no [k].
+    This module is the open-loop serving engine: an
     arrival process ({!Workload}) injects fresh messages every round,
     each node stores-and-forwards through a {e bounded} relay queue with
     an explicit backpressure policy, and all message state lives in a

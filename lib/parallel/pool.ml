@@ -11,7 +11,7 @@ type t = {
   m : Mutex.t;
   cv : Condition.t;
   mutable epoch : int;
-  mutable job : (int -> unit) option;
+  mutable job : int -> unit;
   mutable pending : int;
   mutable stopped : bool;
   mutable failure : (exn * Printexc.raw_backtrace) option;
@@ -19,6 +19,9 @@ type t = {
 }
 
 let size t = t.workers
+
+(* The parked job: [run] swaps the real one in without allocating. *)
+let idle (_ : int) = ()
 
 let record_failure t e bt =
   Mutex.lock t.m;
@@ -38,7 +41,7 @@ let worker_loop t i =
       live := false
     end
     else begin
-      let job = Option.get t.job in
+      let job = t.job in
       seen := t.epoch;
       Mutex.unlock t.m;
       (try job i
@@ -58,7 +61,7 @@ let create ~workers =
       m = Mutex.create ();
       cv = Condition.create ();
       epoch = 0;
-      job = None;
+      job = idle;
       pending = 0;
       stopped = false;
       failure = None;
@@ -76,7 +79,7 @@ let run t job =
   if t.workers = 1 then job 0
   else begin
     Mutex.lock t.m;
-    t.job <- Some job;
+    t.job <- job;
     t.epoch <- t.epoch + 1;
     t.pending <- t.workers - 1;
     Condition.broadcast t.cv;
@@ -86,7 +89,7 @@ let run t job =
     while t.pending > 0 do
       Condition.wait t.cv t.m
     done;
-    t.job <- None;
+    t.job <- idle;
     let failed = t.failure in
     t.failure <- None;
     Mutex.unlock t.m;

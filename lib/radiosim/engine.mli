@@ -17,33 +17,30 @@
     the execution.
 
     Reception is resolved {e transmitter-centrically} over a {e sparse}
-    activation set: the round's active unreliable-edge indices are
-    materialized once into a reusable index buffer
+    activation set: the scheduler writes the round's active
+    unreliable-edge indices into a reusable buffer
     ({!Scheduler.fill_active_sparse}), the round's unreliable adjacency
-    is built {e for those edges only}, and then only the round's
-    transmitters push (first-message, collision) state along their
-    reliable CSR slice plus that per-round adjacency into per-listener
-    scratch.  A round therefore costs O(T·Δ + active + n) for T
-    transmitters and [active] scheduled edges — the regime the
-    decay-ladder algorithms live in, where T is a small constant and,
-    under sparse link schedulers ({!Scheduler.bernoulli_sparse}),
-    [active ≈ p·m ≪ m] — instead of the listener-centric O(n·Δ') of
-    {!run_reference}.
+    is built for those edges only, and only the round's transmitters
+    push along their reliable CSR slice plus that adjacency into an
+    unboxed per-listener accumulator.  A round therefore costs
+    O(T·Δ + active + n) for T transmitters and [active] scheduled edges.
 
-    Step 4's collision rule is the {e reception model} and is pluggable
+    The round semantics live in one kernel shared with {!Tiled}: {!run}
+    is its one-tile case — no domain is spawned and nodes are stepped
+    in ascending id order, so processes and environments need no
+    independence from each other.
+
+    The collision rule is the {e reception model} and is pluggable
     ({!Reception.t}): the default {!Reception.Dual_graph} is the rule
-    above, kept branch-for-branch the pre-refactor engine (bit-identical
-    traces, enforced by the property suite and the golden corpus);
-    {!Reception.Sinr} replaces it with physical interference computed
-    over the topology's Euclidean embedding — the scheduler is then not
-    consulted and steps 1–3 and 5 run unchanged.  See [docs/RECEPTION.md]
-    for the contract both models satisfy. *)
+    above; {!Reception.Sinr} replaces it with physical interference over
+    the topology's Euclidean embedding — the scheduler is then not
+    consulted and the other steps run unchanged.  See
+    [docs/RECEPTION.md] for the contract both models satisfy. *)
 
 type incidence
 (** Per-node incidence of a dual graph's unreliable edges in flat CSR
-    form — the data the engine needs beyond the reliable adjacency.  The
-    dual graph precomputes it at creation, so obtaining it is O(1) and
-    allocation-free. *)
+    form, as {!transmitter_counts} walks it.  The dual graph precomputes
+    it at creation, so obtaining it is O(1) and allocation-free. *)
 
 val unreliable_incidence : Dualgraph.Dual.t -> incidence
 (** The unreliable-edge incidence of a topology, shared with the dual
@@ -52,7 +49,6 @@ val unreliable_incidence : Dualgraph.Dual.t -> incidence
 val run :
   ?observer:(('msg, 'input, 'output) Trace.round_record -> unit) ->
   ?stop:(('msg, 'input, 'output) Trace.round_record -> bool) ->
-  ?incidence:incidence ->
   ?sink:Obs.Sink.t ->
   ?metrics:Obs.Metrics.t ->
   ?faults:Faults.Plan.t ->
@@ -68,19 +64,15 @@ val run :
 (** Executes up to [rounds] rounds and returns the number actually
     executed.  [observer] sees each round's record as it completes;
     [stop], checked after the observer, ends the run early when it
-    returns [true].  [incidence] must come from {!unreliable_incidence}
-    on the same [dual] (it is fetched from the dual when absent).  Raises
-    [Invalid_argument] if the node array size differs from the graph's
-    vertex count.
+    returns [true].  Raises [Invalid_argument] if the node array size
+    differs from the graph's vertex count.
 
     [sink], when given, receives the structural event stream of the run
     (per round: [Round_start], one [Transmit] per transmitter, one
     [Deliver] or [Collision] per affected listener, then — after the
     observer, so a translating observer's protocol events nest inside
     the round — [Round_end] with the round's aggregate counts).  When
-    absent, no event code runs at all: the execution path, allocation
-    behavior and produced traces are exactly those of the
-    uninstrumented engine.
+    absent, no event code runs at all.
 
     [metrics], when given, registers two counters on the registry and
     advances them once per round in which the activation set is resolved
@@ -109,13 +101,11 @@ val run :
     array is never mutated (restarts act on an internal copy).  With a
     sink, [Crash]/[Restart] events are emitted inside the round's
     bracket before any [Transmit]; with metrics, [faults.crashes],
-    [faults.restarts] and [faults.jams] counters advance.  With an
-    {e empty} plan — or none — the run is bit-identical to the
-    uninstrumented engine.
+    [faults.restarts] and [faults.jams] counters advance.  An {e empty}
+    plan runs exactly like no plan.
 
     [reception] selects the reception model (default
-    {!Reception.dual_graph}, the semantics documented above — the run is
-    then bit-identical to the engine before models were pluggable).
+    {!Reception.dual_graph}, the semantics documented above).
     Under {!Reception.Sinr} the round's listeners instead decode by
     signal-to-interference ratio over the topology's embedding: the link
     scheduler is not consulted ([scheduler] may still drive other runs;
@@ -130,7 +120,6 @@ val run :
 val run_adaptive :
   ?observer:(('msg, 'input, 'output) Trace.round_record -> unit) ->
   ?stop:(('msg, 'input, 'output) Trace.round_record -> bool) ->
-  ?incidence:incidence ->
   ?sink:Obs.Sink.t ->
   ?metrics:Obs.Metrics.t ->
   ?faults:Faults.Plan.t ->
@@ -160,24 +149,6 @@ val run_adaptive :
     edges, which SINR ignores — passing an SINR model raises
     [Invalid_argument] rather than silently dropping the adversary. *)
 
-val run_reference :
-  ?observer:(('msg, 'input, 'output) Trace.round_record -> unit) ->
-  ?stop:(('msg, 'input, 'output) Trace.round_record -> bool) ->
-  dual:Dualgraph.Dual.t ->
-  scheduler:Scheduler.t ->
-  nodes:('msg, 'input, 'output) Process.node array ->
-  env:('input, 'output) Env.t ->
-  rounds:int ->
-  unit ->
-  int
-(** The retained listener-centric resolver: every listener scans its full
-    topology neighborhood, querying the scheduler per incident edge —
-    O(n·Δ') per round.  Same observable semantics as {!run} (the
-    property suite asserts bit-identical traces on random
-    configurations); kept as the executable reference for tests and as
-    the micro-benchmark baseline.  Deliberately takes no event sink:
-    the reference semantics stay frozen.  Not for production use. *)
-
 val transmitter_counts :
   ?incidence:incidence ->
   dual:Dualgraph.Dual.t ->
@@ -189,7 +160,6 @@ val transmitter_counts :
 (** Diagnostic: for the given transmitting set, the number of
     topology-neighbors of each node that transmit in [round] (the
     contention each listener faces).  Used by tests to cross-check the
-    engine's collision rule.  Routes through the same activation-buffer
-    + transmitter-centric path as {!run}.  [incidence] must come from
+    engine's collision rule.  [incidence] must come from
     {!unreliable_incidence} on the same [dual]; when absent it is
     fetched from the dual (O(1)). *)

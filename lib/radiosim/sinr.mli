@@ -48,11 +48,48 @@
     floating-point results — and therefore traces — are bit-identical
     at any tile count.  [docs/RECEPTION.md] works the scheme, its cost
     model and its error envelope; the test suite checks exact agreement
-    with the frozen dense path ({!receive_reference}) across the
-    scheduler and fault zoo, and with a naive all-pairs sum whenever
+    with a frozen dense reference path across the scheduler and fault
+    zoo, and with a naive all-pairs sum whenever
     the band covers the whole field. *)
 
-type t
+type t = private {
+  n : int;
+  px : float array;
+  py : float array;
+  col : int array;
+  ncols : int;
+  near : int;
+  power : float;
+  beta : float;
+  noise : float;
+  jam : float;
+  neg_half_alpha : float;
+  pw_far : float array;
+  slot_off : int array;
+  slot_node : int array;
+  cnt : int array;
+  off : int array;
+  fill : int array;
+  col_tx : int array;
+  far : float array;
+  occ : int array;
+  mutable nocc : int;
+  act : int array;
+  mutable nact : int;
+  act_mark : Bytes.t;
+  mutable off_checked : bool;
+  s_lx : float array;
+  s_ly : float array;
+  s_best : int array;
+  s_best_pw : float array;
+  s_sum : float array;
+}
+(** The prepared field.  The representation is readable (documented in
+    [sinr.ml]) so that a reference implementation outside this library
+    can evaluate a loaded round independently of the kernels below. *)
+
+val min_d2 : float
+(** The squared-distance clamp that keeps co-located points finite. *)
 
 val create : params:Reception.sinr -> Dualgraph.Dual.t -> t
 (** Prepares the power field: copies the embedding into flat coordinate
@@ -123,14 +160,6 @@ val receive : t -> jammed:bool -> listener:int -> int
     noise to the listener's floor — under SINR a jam window degrades
     the victim's {e reception} instead of suppressing its transmission
     (see [docs/RECEPTION.md] §4). *)
-
-val receive_reference : t -> jammed:bool -> listener:int -> int
-(** The frozen dense oracle: PR 8's listener-centric path — full
-    per-listener band scan plus an O(cols) dense far-field row — kept
-    verbatim and reading none of the sparse kernels' state.  The
-    property suite asserts [receive ≡ receive_reference] (and the
-    engines' skip set sound against it) across the scheduler and fault
-    zoo; the M12 micro-benchmark reports the speedup against it. *)
 
 val diag : t -> jammed:bool -> listener:int -> int * float * float
 (** [(best, signal, interference)] behind the {!receive} verdict:

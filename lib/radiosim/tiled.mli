@@ -1,63 +1,41 @@
 (** Domain-parallel tiled execution of the synchronous engine.
 
-    The field is partitioned into spatial tiles ({!Dualgraph.Tile});
-    each round runs as three SPMD phases over a persistent domain pool
-    ({!Parallel.Pool}), with the calling domain doubling as tile 0's
-    worker and as the coordinator for everything that must stay
-    serial:
+    {!run} is the round kernel behind {!Engine.run} at more than one
+    tile.  The field is partitioned into spatial tiles
+    ({!Dualgraph.Tile}) and each round runs as SPMD phases over a
+    persistent domain pool ({!Parallel.Pool}), with the calling domain
+    doubling as tile 0's worker and as the coordinator for the serial
+    spine (fault transitions, impure input polling, link activation,
+    halo fold, events, [notify], observer and stop):
 
     + {b decide} — each tile polls inputs (when the environment is
       {!Env.pure_inputs}), steps its own nodes' [decide], and records
       its transmitters;
-    + {b push} — each tile's transmitters push along their reliable
-      CSR slice and the round's active unreliable adjacency.
-      Receptions for listeners the tile owns land directly in the
-      shared per-listener accumulator; receptions for foreign
-      listeners are appended to a per-(source, destination) tile
-      outbox — the {e halo exchange};
-    + {b absorb} — each tile drains the outboxes addressed to it in
-      ascending source-tile order, then computes its own nodes'
-      delivery results and steps [absorb].
-
-    Between phases the coordinator runs the serial spine in exactly
-    {!Engine.run}'s order: fault transitions, impure input polling,
-    scheduler activation + adjacency build, event emission, [notify],
-    observer and stop.
+    + {b reception} — under the dual-graph model each tile's
+      transmitters push along their reliable CSR slice and the round's
+      active unreliable adjacency; receptions for foreign listeners go
+      to a per-(source, destination) tile outbox, which the coordinator
+      then folds into the owner's accumulator (the {e halo
+      exchange}).  Under {!Reception.Sinr} each tile instead scans its
+      slot range of the field's column-major listener CSR, over the
+      round's active columns only ({!Sinr.scan_slots}, {!Sinr.verdict});
+    + {b absorb} — each tile computes its own nodes' delivery results
+      and steps [absorb].
 
     {b Determinism.}  The produced trace — round records, event
-    stream, metrics — is bit-identical to {!Engine.run}'s under
-    {e any} tile count.  Two facts carry the argument: (a) a
-    listener's reception outcome is a commutative-monoid fold of the
-    multiset of transmissions reaching it (0 → silence, 1 → the
-    message, ≥2 → collision), so the order in which local pushes and
-    drained halo pushes arrive cannot change it; and (b) every
-    trace-visible serialization — event order, [notify] order, record
-    layout — is produced by the coordinator scanning global state in
-    ascending node order, never in tile order.  DESIGN.md §10 gives
-    the full argument; the property suite checks it against both
-    {!Engine.run} and {!Engine.run_reference} at several tile counts.
+    stream, metrics — is the same under {e any} tile count.  A
+    listener's outcome is a commutative fold of the transmissions
+    reaching it (0 → silence, 1 → the message, ≥2 → collision), so
+    push order cannot change it; SINR sums are accumulated in an order
+    fixed by the grid columns, never by the tiling; and every
+    trace-visible serialization is produced by the coordinator in
+    ascending node order.  DESIGN.md §10 gives the full argument.
 
-    {b Requirements.}  Node processes must be {e node-independent}:
-    [decide]/[absorb] closures may touch only their own node's state
-    (true of every process in this repository — each draws from its
-    own RNG).  Environments are consulted from worker domains only
-    when they declare {!Env.pure_inputs}.
-
-    Per-node hot state (liveness, on-air bits, reception
-    accumulators) lives in flat [Bytes] / [Bigarray] pools rather
-    than boxed per-node records, so a 10⁶-node field costs a few
-    dozen bytes per node and the GC never scans the hot arrays.
-
-    {b Reception models.}  Under {!Reception.Sinr} the push phase (and
-    the halo exchange) disappears: the coordinator rebuilds the global
-    transmitter list in ascending id order and loads the shared
-    {!Sinr} field once per round, and each tile's absorb phase
-    evaluates its own listeners with {!Sinr.receive} — a pure function
-    of the loaded state, with every float accumulated in an order
-    fixed by the topology's grid columns, never by the tiling.  Traces
-    therefore stay bit-identical across tile counts under either
-    model; the property suite checks SINR agreement between this
-    engine and {!Engine.run} at several tile counts. *)
+    {b Requirements.}  Above one tile, node processes must be
+    {e node-independent}: [decide]/[absorb] closures may touch only
+    their own node's state (true of every process in this repository —
+    each draws from its own RNG).  Environments are consulted from
+    worker domains only when they declare {!Env.pure_inputs}. *)
 
 val default_tiles : unit -> int
 (** [1 + Parallel.Budget.suggested_extra ()] — the tile count {!run}
@@ -83,18 +61,12 @@ val run :
   int
 (** Like {!Engine.run}, executed over [tiles] tiles on as many domains
     (default {!default_tiles}; values are clamped to the vertex
-    count).  [tiles = 1] delegates to {!Engine.run} outright — the
-    single-domain path {e is} the sequential engine, not a parallel
-    code path with one worker.  Returns the number of rounds
-    executed.
+    count).  [tiles = 1] is exactly {!Engine.run}.  Returns the number
+    of rounds executed.
 
     An exception raised by a process on any worker domain is
     re-raised here with its backtrace after the in-flight phase
     barrier completes, and the pool is torn down.
-
-    [reception] behaves as in {!Engine.run} (default
-    {!Reception.dual_graph}); the multi-tile SINR path is documented
-    above.
 
     @raise Invalid_argument on the same conditions as {!Engine.run},
     or if [tiles < 1]. *)

@@ -7,6 +7,8 @@
    committed trace in test/golden/.  Any change to engine scheduling,
    collision resolution, fault transitions or the event codecs shows up
    as a diff here before it can silently change simulation results.
+   The Bernoulli and Relay configs also replay through Tiled.run at two
+   tiles against the same committed bytes.
 
    The corpus spans the scheduler zoo (bernoulli, bernoulli-sparse,
    flicker, edge-phase-flicker, thwart, all-edges, reliable-only) crossed
@@ -252,7 +254,8 @@ let lbalg_params ~eps1 ~c dual =
   in
   Localcast.Params.of_dual ~calibration ~tack_phases:1 ~eps1 dual
 
-let run_config c =
+(* [tiles] > 1 replays an engine-driven config through Tiled.run. *)
+let run_config ?(tiles = 1) c =
   let rng = Rng.of_int c.seed in
   let dual =
     Geo.random_field ~rng ~n:c.n ~width:3.2 ~height:3.2 ~r:1.5 ~gray_g':0.5 ()
@@ -282,12 +285,15 @@ let run_config c =
     Obs.Sink.create ~capacity:(max 65536 (c.rounds * ((2 * n) + 8))) ()
   in
   let engine_run ~nodes ~revive =
+    let scheduler = c.scheduler ~seed:c.seed
+    and env = Radiosim.Env.null ~name:c.name () in
     let (_ : int) =
-      Engine.run ~sink ?faults ~reception ~revive ~dual
-        ~scheduler:(c.scheduler ~seed:c.seed)
-        ~nodes
-        ~env:(Radiosim.Env.null ~name:c.name ())
-        ~rounds:c.rounds ()
+      if tiles = 1 then
+        Engine.run ~sink ?faults ~reception ~revive ~dual ~scheduler ~nodes ~env
+          ~rounds:c.rounds ()
+      else
+        Radiosim.Tiled.run ~tiles ~sink ?faults ~reception ~revive ~dual
+          ~scheduler ~nodes ~env ~rounds:c.rounds ()
     in
     ()
   in
@@ -315,6 +321,7 @@ let run_config c =
             ~rng:(Baseline.Strategy.node_rng ~round ~seed:c.seed ~node ())
             ~node ())
   | Lbalg { eps1; c = k; phases; every } ->
+      assert (tiles = 1);
       (* Service.run revives restarted nodes through Service.reviver. *)
       let (_ : Localcast.Service.outcome) =
         Localcast.Service.run ~sink ?faults ~reception ~dual
@@ -352,9 +359,10 @@ let first_diff expected actual =
   in
   scan 1 (el, al)
 
-let conformance c () =
-  let actual = run_config c in
+let conformance ?tiles c () =
+  let actual = run_config ?tiles c in
   match Sys.getenv_opt "GOLDEN_OUT" with
+  | Some _ when tiles <> None -> ()
   | Some _ ->
       Out_channel.with_open_bin (golden_path c.name) (fun oc ->
           Out_channel.output_string oc actual)
@@ -405,11 +413,21 @@ let codec_validation c () =
     lines;
   if !count = 0 then Alcotest.failf "%s: empty golden trace" c.name
 
+(* The engine-driven configs replay through the two-tile kernel against
+   the same committed bytes, so the corpus anchors the tiled path too. *)
+let engine_driven c =
+  match c.processes with Bernoulli _ | Relay _ -> true | Lbalg _ -> false
+
 let suite =
   List.map
     (fun c ->
       Alcotest.test_case ("conformance: " ^ c.name) `Quick (conformance c))
     configs
+  @ List.map
+      (fun c ->
+        Alcotest.test_case ("conformance at two tiles: " ^ c.name) `Quick
+          (conformance ~tiles:2 c))
+      (List.filter engine_driven configs)
   @ List.map
       (fun c ->
         Alcotest.test_case ("codec roundtrip: " ^ c.name) `Quick

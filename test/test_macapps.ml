@@ -1,5 +1,5 @@
 (* Tests for the higher-level abstract-MAC-layer applications:
-   multi-message broadcast, neighbor discovery and flood-max consensus. *)
+   neighbor discovery and flood-max consensus. *)
 
 open Core
 
@@ -10,7 +10,6 @@ module Dual = Dualgraph.Dual
 module Geo = Dualgraph.Geometric
 module Sch = Radiosim.Scheduler
 module Params = Localcast.Params
-module Multi = Macapps.Multi_broadcast
 module Discovery = Macapps.Discovery
 module Consensus = Macapps.Consensus
 module Rng = Prng.Rng
@@ -19,64 +18,6 @@ let params_for dual = Params.of_dual ~tack_phases:2 ~eps1:0.2 dual
 
 let budget ~dual params =
   60 * Dual.n dual * params.Params.phase_len
-
-(* --- multi-message broadcast --- *)
-
-let test_multi_single_source_equals_flood () =
-  let dual = Geo.line ~n:4 ~spacing:0.9 () in
-  let params = params_for dual in
-  let result =
-    Multi.run ~params ~rng:(Rng.of_int 1) ~dual ~scheduler:Sch.reliable_only
-      ~sources:[ 0 ] ~max_rounds:(budget ~dual params) ()
-  in
-  checki "one complete message" 1 result.Multi.complete_messages;
-  checkb "completed" true (result.Multi.completion_round <> None);
-  checkb "every node got it" true (Array.for_all Fun.id result.Multi.delivered.(0))
-
-let test_multi_three_sources () =
-  let dual = Geo.line ~n:5 ~spacing:0.9 () in
-  let params = params_for dual in
-  let result =
-    Multi.run ~params ~rng:(Rng.of_int 2) ~dual
-      ~scheduler:(Sch.bernoulli ~seed:2 ~p:0.5)
-      ~sources:[ 0; 2; 4 ]
-      ~max_rounds:(budget ~dual params)
-      ()
-  in
-  checki "three complete messages" 3 result.Multi.complete_messages;
-  checkb "relays at least k" true (result.Multi.relays >= 3)
-
-let test_multi_same_source_twice () =
-  (* One node originating two messages serializes them through its MAC. *)
-  let dual = Geo.pair () in
-  let params = params_for dual in
-  let result =
-    Multi.run ~params ~rng:(Rng.of_int 3) ~dual ~scheduler:Sch.reliable_only
-      ~sources:[ 0; 0 ]
-      ~max_rounds:(budget ~dual params)
-      ()
-  in
-  checki "both complete" 2 result.Multi.complete_messages
-
-let test_multi_disconnected () =
-  let g = Dualgraph.Graph.create ~n:3 ~edges:[ (0, 1) ] in
-  let dual = Dual.create ~g ~g':g () in
-  let params = params_for dual in
-  let result =
-    Multi.run ~params ~rng:(Rng.of_int 4) ~dual ~scheduler:Sch.reliable_only
-      ~sources:[ 0 ] ~max_rounds:(20 * params.Params.phase_len) ()
-  in
-  checki "incomplete" 0 result.Multi.complete_messages;
-  checkb "island never reached" false result.Multi.delivered.(0).(2)
-
-let test_multi_source_validation () =
-  let dual = Geo.pair () in
-  let params = params_for dual in
-  Alcotest.check_raises "range" (Invalid_argument "Multi_broadcast.run: source out of range")
-    (fun () ->
-      ignore
-        (Multi.run ~params ~rng:(Rng.of_int 1) ~dual ~scheduler:Sch.reliable_only
-           ~sources:[ 7 ] ~max_rounds:10 ()))
 
 (* --- neighbor discovery --- *)
 
@@ -192,11 +133,6 @@ let test_consensus_validation () =
 let suite =
   List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
     [
-      ("multi: single source equals flood", test_multi_single_source_equals_flood);
-      ("multi: three sources", test_multi_three_sources);
-      ("multi: same source twice", test_multi_same_source_twice);
-      ("multi: disconnected island", test_multi_disconnected);
-      ("multi: source validation", test_multi_source_validation);
       ("discovery: pair", test_discovery_pair);
       ("discovery: clique", test_discovery_clique);
       ("discovery: validity corollary", test_discovery_respects_validity);

@@ -513,8 +513,8 @@ let test_sink_does_not_perturb_traces () =
                  ~rounds:25 ())
         | `Reference ->
             ignore
-              (Engine.run_reference ~observer ~dual ~scheduler ~nodes ~env
-                 ~rounds:25 ()));
+              (Frozen.Engine.run_reference ~observer ~dual ~scheduler ~nodes
+                 ~env ~rounds:25 ()));
         trace_fingerprint trace
       in
       let plain = run ~variant:`Plain in

@@ -484,7 +484,7 @@ let test_boundary_column () =
     (Array.to_list (Array.sub act 0 nact));
   for u = 0 to n - 1 do
     if u <> tx then begin
-      let rr = Sinr.receive_reference field ~jammed:false ~listener:u in
+      let rr = Frozen.Sinr.receive_reference field ~jammed:false ~listener:u in
       Alcotest.(check int)
         (Printf.sprintf "receive(%d) = reference" u)
         rr
@@ -503,7 +503,7 @@ let test_boundary_column () =
         if u <> tx then
           Alcotest.(check int)
             (Printf.sprintf "verdict at slot %d = reference" s)
-            (Sinr.receive_reference field ~jammed:false ~listener:u)
+            (Frozen.Sinr.receive_reference field ~jammed:false ~listener:u)
             (Sinr.verdict field ~jammed:false ~slot:s)
       done
     end
@@ -653,7 +653,9 @@ let qcheck_cases =
           let ok = ref true in
           for u = 0 to n - 1 do
             if not is_tx.(u) then begin
-              let rr = Sinr.receive_reference field ~jammed:jam.(u) ~listener:u in
+              let rr =
+                Frozen.Sinr.receive_reference field ~jammed:jam.(u) ~listener:u
+              in
               if Sinr.receive field ~jammed:jam.(u) ~listener:u <> rr then
                 ok := false;
               if
@@ -672,7 +674,8 @@ let qcheck_cases =
               if not is_tx.(u) then
                 if
                   Sinr.verdict field ~jammed:jam.(u) ~slot:s
-                  <> Sinr.receive_reference field ~jammed:jam.(u) ~listener:u
+                  <> Frozen.Sinr.receive_reference field ~jammed:jam.(u)
+                       ~listener:u
                 then ok := false
             done
           done;
@@ -719,7 +722,8 @@ let qcheck_cases =
             if Sinr.column_active field cu <> in_band then ok := false;
             if
               (not (Sinr.column_active field cu))
-              && Sinr.receive_reference field ~jammed:false ~listener:u <> -1
+              && Frozen.Sinr.receive_reference field ~jammed:false ~listener:u
+                 <> -1
             then ok := false
           done
         done;

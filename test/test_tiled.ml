@@ -168,7 +168,8 @@ let run_plain ~how ~rounds seed =
   let executed =
     match how with
     | `Reference ->
-        Engine.run_reference ~observer ~dual ~scheduler ~nodes ~env ~rounds ()
+        Frozen.Engine.run_reference ~observer ~dual ~scheduler ~nodes ~env
+          ~rounds ()
     | `Tiled tiles ->
         Tiled.run ~observer ~tiles ~dual ~scheduler ~nodes ~env ~rounds ()
   in
@@ -397,6 +398,74 @@ let test_tiled_process_failure () =
   Alcotest.(check (option int)) "worker-domain process exception re-raised"
     (Some 7) raised
 
+(* The kernel's allocation profile in steady state: one [Some msg] per
+   on-air transmitter per round (2 words), shared by every listener that
+   decodes it, and nothing per listener.  The processes, environment
+   and scheduler allocate nothing themselves, and per-run set-up cancels
+   out of the difference between a long and a short run.
+   [Gc.minor_words] counts the calling domain only: at two tiles that is
+   tile 0 plus the coordinator. *)
+let test_kernel_allocation () =
+  let dual =
+    Geo.random_field ~rng:(Rng.of_int 5) ~n:64 ~width:6.0 ~height:6.0 ~r:1.5
+      ~gray_g':0.5 ()
+  in
+  let n = Dual.n dual in
+  let transmits v = v mod 16 = 0 in
+  let tx = P.Transmit (M.Data (M.payload ~src:0 ~uid:0 ())) in
+  let nodes =
+    Array.init n (fun v ->
+        let action = if transmits v then tx else P.Listen in
+        {
+          P.decide = (fun ~round:_ _ -> action);
+          absorb = (fun ~round:_ _ -> []);
+        })
+  in
+  let transmitters = List.length (List.filter transmits (List.init n Fun.id)) in
+  let env = Radiosim.Env.null ~name:"alloc" () in
+  List.iter
+    (fun (label, reception) ->
+      let deliveries = ref 0 in
+      let (_ : int) =
+        Tiled.run ~tiles:1 ~reception ~dual ~scheduler:Sch.all_edges ~nodes
+          ~env ~rounds:1
+          ~observer:(fun r ->
+            Array.iter
+              (fun d -> if d <> None then incr deliveries)
+              r.Trace.delivered)
+          ()
+      in
+      (* A per-listener allocation must be able to break the bound. *)
+      Alcotest.(check bool)
+        (label ^ ": more deliveries than transmitters")
+        true
+        (!deliveries > transmitters);
+      List.iter
+        (fun tiles ->
+          let words rounds =
+            let w0 = Gc.minor_words () in
+            let (_ : int) =
+              Tiled.run ~tiles ~reception ~dual ~scheduler:Sch.all_edges ~nodes
+                ~env ~rounds ()
+            in
+            Gc.minor_words () -. w0
+          in
+          let per_round = (words 400 -. words 100) /. 300.0 in
+          Alcotest.(check bool)
+            (Printf.sprintf
+               "%s, tiles=%d: %.2f words/round <= 2 per transmitter" label
+               tiles per_round)
+            true
+            (per_round <= float_of_int (2 * transmitters)))
+        [ 1; 2 ])
+    [
+      ("dual", Radiosim.Reception.dual_graph);
+      ( "sinr",
+        match Radiosim.Reception.of_spec "sinr:alpha=3,beta=1.2,noise=0.02" with
+        | Ok m -> m
+        | Error e -> failwith e );
+    ]
+
 let qcheck_cases =
   let open QCheck in
   [
@@ -441,5 +510,7 @@ let suite =
       test_tiled_impure_env;
     Alcotest.test_case "process exception propagates from worker domain" `Quick
       test_tiled_process_failure;
+    Alcotest.test_case "kernel allocates per transmitter, not per listener"
+      `Quick test_kernel_allocation;
   ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases
