@@ -21,9 +21,9 @@
    coverage stays near the survivors' while Decay's collapses as the
    churn rate rises.
 
-   Each LBAlg run is also replayed against the fault-aware stream
-   auditor, which must report zero Late_ack/Missing_ack breaches —
-   churn may cost coverage, never spec soundness. *)
+   Each LBAlg run's survivor-relative spec monitor must also report
+   zero Late_ack/Missing_ack breaches — churn may cost coverage, never
+   spec soundness. *)
 
 open Core
 open Exp_common
@@ -87,24 +87,20 @@ let decay_trial ~dual ~plan ~budget ~horizon ~seed =
   fun v -> if first.(v) = max_int then None else Some first.(v)
 
 (* LBAlg one-shot under the same plan; receptions read off the
-   environment log.  Also audits the run's event stream. *)
-let lbalg_trial ~dual ~params ~plan ~horizon ~seed =
+   environment log, ack breaches off the spec monitor's violations. *)
+let lbalg_trial ~dual ~params ~plan ~seed =
   let n = Dual.n dual in
-  let sink = Obs.Sink.create ~capacity:(max 65536 (horizon * ((2 * n) + 16))) () in
-  let auditor = L.Lb_obs.auditor ~dual ~params () in
-  Obs.Sink.on_event sink (Obs.Audit.observe auditor);
   let outcome, _completion =
-    L.Service.one_shot ~sink ~faults:plan ~dual ~params ~sender ~seed ()
+    L.Service.one_shot ~faults:plan ~dual ~params ~sender ~seed ()
   in
-  Obs.Audit.finish auditor;
   let ack_breaches =
     List.length
       (List.filter
          (fun v ->
-           match v.Obs.Audit.kind with
-           | Obs.Audit.Late_ack _ | Obs.Audit.Missing_ack _ -> true
-           | Obs.Audit.Progress_miss _ | Obs.Audit.Delta_breach _ -> false)
-         (Obs.Audit.violations auditor))
+           match v.L.Lb_spec.kind with
+           | L.Lb_spec.Late_ack _ | L.Lb_spec.Missing_ack _ -> true
+           | L.Lb_spec.Progress_miss _ | L.Lb_spec.Delta_breach _ -> false)
+         outcome.L.Service.violations)
   in
   let first = Array.make n max_int in
   (match outcome.L.Service.env_log with
@@ -200,7 +196,7 @@ let run () =
         run_trials ~salt:(100 + i) ~n:trials (fun ~trial:_ ~seed ->
             let plan = plan_of seed in
             let first_lb, trial_breaches =
-              lbalg_trial ~dual ~params ~plan ~horizon ~seed
+              lbalg_trial ~dual ~params ~plan ~seed
             in
             tally_trial lb ~dual ~plan ~horizon first_lb;
             breaches := !breaches + trial_breaches;

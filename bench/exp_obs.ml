@@ -1,20 +1,20 @@
 (* Experiment OBS: the observability layer exercised end-to-end.
 
    One instrumented LB service run (saturated senders, random field)
-   with the full pipeline attached — event sink, metrics registry,
-   online spec auditor — then three checks with teeth:
+   with the full pipeline attached — event sink, metrics registry and
+   the spec monitor's violation log — then three checks with teeth:
 
-   + the auditor's acknowledgement accounting must agree exactly with
-     the offline Lb_spec monitor that watched the same run (ack count,
-     max latency, and total t_ack deadline misses),
-   + the auditor's progress-miss count must equal the monitor's
-     progress-failure count,
+   + the monitor's t_ack violations (Late_ack + Missing_ack) must equal
+     its report's late + missing acks, and its Progress_miss violations
+     the report's progress failures;
+   + the emitted [lb.ack_latency] instrument must agree with the report
+     (ack count and max latency);
    + the exported JSONL stream must parse back to exactly the events
      the sink retained.
 
    Any disagreement is a [failwith]: this group runs in quick mode under
-   the bench-smoke alias, so CI fails if the online auditor and the
-   reference monitor ever drift apart.  The run also writes the
+   the bench-smoke alias, so CI fails if the violation log, the
+   instruments and the report ever drift apart.  The run also writes the
    BENCH_obs.json metrics artifact and the BENCH_obs_events.jsonl event
    stream — the files the worked example in docs/OBSERVABILITY.md
    walks through. *)
@@ -24,16 +24,18 @@ open Exp_common
 module Dual = Dualgraph.Dual
 module Params = Localcast.Params
 module L = Localcast
+module S = Localcast.Lb_spec
 module Table = Stats.Table
 
 let count_kind violations pred =
-  List.length (List.filter (fun v -> pred v.Obs.Audit.kind) violations)
+  List.length (List.filter (fun v -> pred v.S.kind) violations)
 
 let run () =
-  section "OBS: observability layer (event stream, metrics, online audit)";
+  section "OBS: observability layer (event stream, metrics, spec violations)";
   note
-    "One instrumented run: engine + LBAlg emit into a sink; the online\n\
-     auditor's verdicts are cross-checked against the Lb_spec monitor.";
+    "One instrumented run: engine + LBAlg emit into a sink; the spec\n\
+     monitor's violations and instruments are cross-checked against its\n\
+     report.";
   let dual = random_field ~seed:(master_seed + 41) ~n:48 () in
   let params = Params.of_dual ~eps1:0.2 ~tack_phases:1 dual in
   let phases = if !quick then 3 else 5 in
@@ -45,61 +47,50 @@ let run () =
   let capacity = max 65536 (rounds * (2 * n + 8)) in
   let sink = Obs.Sink.create ~capacity () in
   let metrics = Obs.Metrics.create () in
-  let auditor = L.Lb_obs.auditor ~dual ~params () in
-  Obs.Sink.on_event sink (Obs.Audit.observe auditor);
   let senders = [ 0; 1; 2; 3 ] in
   let outcome =
     L.Service.run ~sink ~metrics ~dual ~params ~senders ~phases
       ~seed:(master_seed + 42) ()
   in
-  Obs.Audit.finish auditor;
   let report = outcome.L.Service.report in
-  let violations = Obs.Audit.violations auditor in
-  let latencies = List.map (fun (_, _, l) -> l) (Obs.Audit.ack_latencies auditor) in
-  let audit_acks = List.length latencies in
-  let audit_max_latency = List.fold_left max 0 latencies in
-  let audit_late =
-    count_kind violations (function Obs.Audit.Late_ack _ -> true | _ -> false)
+  let violations = outcome.L.Service.violations in
+  let stream_acks, stream_max_latency =
+    match Obs.Metrics.summary (Obs.Metrics.histogram metrics "lb.ack_latency") with
+    | Some s -> (s.Obs.Metrics.count, int_of_float s.Obs.Metrics.max)
+    | None -> (0, 0)
   in
-  let audit_missing =
+  let deadline_misses =
     count_kind violations (function
-      | Obs.Audit.Missing_ack _ -> true
+      | S.Late_ack _ | S.Missing_ack _ -> true
       | _ -> false)
   in
-  let audit_progress_miss =
-    count_kind violations (function
-      | Obs.Audit.Progress_miss _ -> true
-      | _ -> false)
+  let progress_misses =
+    count_kind violations (function S.Progress_miss _ -> true | _ -> false)
   in
-  let audit_delta =
-    count_kind violations (function
-      | Obs.Audit.Delta_breach _ -> true
-      | _ -> false)
+  let delta_breaches =
+    count_kind violations (function S.Delta_breach _ -> true | _ -> false)
   in
   let table =
     Table.create
-      ~title:"OBS: online auditor vs offline Lb_spec monitor (same run)"
-      ~columns:[ "quantity"; "auditor"; "lb_spec" ]
+      ~title:"OBS: violations and instruments vs the Lb_spec report (same run)"
+      ~columns:[ "quantity"; "observed"; "lb_spec" ]
   in
   let row name a b = Table.add_row table [ name; string_of_int a; string_of_int b ] in
-  row "acks" audit_acks report.L.Lb_spec.ack_count;
-  row "max ack latency" audit_max_latency report.L.Lb_spec.max_ack_latency;
-  row "t_ack deadline misses" (audit_late + audit_missing)
-    (report.L.Lb_spec.late_ack_count + report.L.Lb_spec.missing_ack_count);
-  row "progress misses" audit_progress_miss report.L.Lb_spec.progress_failures;
-  Table.add_row table
-    [ "delta breaches"; string_of_int audit_delta; "-" ];
+  row "acks" stream_acks report.S.ack_count;
+  row "max ack latency" stream_max_latency report.S.max_ack_latency;
+  row "t_ack deadline misses" deadline_misses
+    (report.S.late_ack_count + report.S.missing_ack_count);
+  row "progress misses" progress_misses report.S.progress_failures;
+  Table.add_row table [ "delta breaches"; string_of_int delta_breaches; "-" ];
   Table.print table;
-  if audit_acks <> report.L.Lb_spec.ack_count then
-    failwith "exp_obs: auditor ack count disagrees with Lb_spec";
-  if audit_max_latency <> report.L.Lb_spec.max_ack_latency then
-    failwith "exp_obs: auditor max ack latency disagrees with Lb_spec";
-  if
-    audit_late + audit_missing
-    <> report.L.Lb_spec.late_ack_count + report.L.Lb_spec.missing_ack_count
-  then failwith "exp_obs: auditor deadline-miss count disagrees with Lb_spec";
-  if audit_progress_miss <> report.L.Lb_spec.progress_failures then
-    failwith "exp_obs: auditor progress misses disagree with Lb_spec";
+  if stream_acks <> report.S.ack_count then
+    failwith "exp_obs: lb.ack_latency count disagrees with the report";
+  if stream_max_latency <> report.S.max_ack_latency then
+    failwith "exp_obs: lb.ack_latency max disagrees with the report";
+  if deadline_misses <> report.S.late_ack_count + report.S.missing_ack_count then
+    failwith "exp_obs: t_ack violations disagree with the report's late + missing";
+  if progress_misses <> report.S.progress_failures then
+    failwith "exp_obs: progress-miss violations disagree with the report";
   (* Artifacts: the per-phase metric snapshots and the raw event stream. *)
   let json_path = "BENCH_obs.json" in
   Obs.Metrics.write_json ~path:json_path ~git_rev:(git_rev ())

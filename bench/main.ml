@@ -27,7 +27,7 @@
              tournament CI smoke: quick mode hard-fails on an ordering
              inversion in the churn anchor cell)
      obs     observability layer: event stream, metrics artifact, and the
-             online auditor cross-checked against Lb_spec (writes
+             spec monitor's violations checked against its report (writes
              BENCH_obs.json and BENCH_obs_events.jsonl)
      micro   Bechamel micro-benchmarks M1-M14 (also writes BENCH_micro.json)
      service serving-engine benchmarks M10-M11 + the 10^6-arrival load

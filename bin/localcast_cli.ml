@@ -240,8 +240,9 @@ let run_cmd =
       value & flag
       & info [ "audit" ]
           ~doc:
-            "Run the online spec auditor over the event stream and report \
-             t_ack / t_prog deadline misses and delta-bound breaches.")
+            "Report the spec monitor's violations: t_ack / t_prog deadline \
+             misses and delta-bound breaches, each at the round it became \
+             detectable.")
   in
   let faults_arg =
     Arg.(
@@ -309,40 +310,23 @@ let run_cmd =
               Format.eprintf "localcast: bad --reception spec: %s@." msg;
               exit 2)
     in
-    let monitor = L.Lb_spec.monitor ?faults ~dual ~params ~env:envt () in
-    (* Observability wiring: any of --events/--metrics/--audit needs the
-       event stream, so they share one sink sized to the whole run. *)
-    let want_obs = events <> None || metrics_path <> None || audit in
+    (* Observability wiring: --events and --metrics share one sink sized
+       to the whole run; --audit reads the monitor's violations. *)
     let sink =
-      if want_obs then
+      if events <> None || metrics_path <> None then
         Some (Obs.Sink.create ~capacity:(max 65536 (rounds * ((2 * n) + 8))) ())
       else None
     in
     let registry =
       match metrics_path with Some _ -> Some (Obs.Metrics.create ()) | None -> None
     in
-    let auditor =
-      if audit then begin
-        let a = L.Lb_obs.auditor ~dual ~params () in
-        (match sink with
-        | Some s -> Obs.Sink.on_event s (Obs.Audit.observe a)
-        | None -> ());
-        Some a
-      end
-      else None
-    in
-    let glue =
-      match sink with
-      | Some s -> Some (L.Lb_obs.create ?metrics:registry ~sink:s ~dual ~params ())
-      | None -> None
-    in
-    let observer record =
-      L.Lb_spec.observe monitor record;
-      match glue with Some g -> L.Lb_obs.observer g record | None -> ()
+    let monitor =
+      L.Lb_spec.monitor ?faults ?sink ?metrics:registry ~dual ~params ~env:envt ()
     in
     let executed, secs =
       Stats.Experiment.time (fun () ->
-          Radiosim.Engine.run ~observer ?sink ?metrics:registry ?faults
+          Radiosim.Engine.run ~observer:(L.Lb_spec.observe monitor) ?sink
+            ?metrics:registry ?faults
             ?revive ~reception ~dual
             ~scheduler:(make_scheduler scheduler ~seed ~p:link_p)
             ~nodes ~env:(L.Lb_env.env envt) ~rounds ())
@@ -361,31 +345,27 @@ let run_cmd =
       (report.L.Lb_spec.progress_opportunities - report.L.Lb_spec.progress_failures)
       report.L.Lb_spec.progress_opportunities
       (100.0 *. L.Lb_spec.progress_rate report);
-    (match auditor with
-    | None -> ()
-    | Some a ->
-        Obs.Audit.finish a;
-        let violations = Obs.Audit.violations a in
-        Format.printf "audit: %d violation%s over %d rounds of events@."
-          (List.length violations)
-          (if List.length violations = 1 then "" else "s")
-          (Obs.Audit.rounds_seen a);
-        List.iteri
-          (fun i v ->
-            if i < 20 then Format.printf "  %a@." Obs.Audit.pp_violation v)
-          violations;
-        if List.length violations > 20 then
-          Format.printf "  ... and %d more@." (List.length violations - 20));
+    if audit then begin
+      let violations = L.Lb_spec.violations monitor in
+      let count = List.length violations in
+      Format.printf "audit: %d violation%s over %d rounds@." count
+        (if count = 1 then "" else "s")
+        report.L.Lb_spec.rounds_observed;
+      List.iteri
+        (fun i v -> if i < 20 then Format.printf "  %s@." v.L.Lb_spec.detail)
+        violations;
+      if count > 20 then Format.printf "  ... and %d more@." (count - 20)
+    end;
     (match (events, sink) with
     | Some path, Some s ->
         Obs.Sink.save_jsonl s ~path;
         Format.printf "wrote %d events to %s (%d emitted, %d dropped)@."
           (Obs.Sink.length s) path (Obs.Sink.emitted s) (Obs.Sink.dropped s)
     | _ -> ());
-    match (metrics_path, glue, registry) with
-    | Some path, Some g, Some reg ->
+    match (metrics_path, registry) with
+    | Some path, Some reg ->
         let snapshots =
-          L.Lb_obs.snapshots g @ [ Obs.Metrics.snapshot ~label:"final" reg ]
+          L.Lb_spec.snapshots monitor @ [ Obs.Metrics.snapshot ~label:"final" reg ]
         in
         Obs.Metrics.write_json ~path snapshots;
         Format.printf "wrote %d metric snapshots to %s@."

@@ -23,7 +23,7 @@
 
     Plans are consumed by {!Radiosim.Engine.run} via a {!cursor}, and
     queried by the survivor-relative accounting in {!Localcast.Lb_spec}
-    and {!Obs.Audit} through {!alive} / {!alive_through}. *)
+    through {!alive} / {!alive_through}. *)
 
 type t
 

@@ -2,9 +2,8 @@
 
     The problem constrains environments to (1) never reuse a message and
     (2) wait for [ack(m)_u] before handing [u] another [bcast].  The
-    environments here obey both and keep a {!log} of every bcast/ack pair,
-    which the {!Lb_spec} checker consumes to reconstruct the
-    actively-broadcasting intervals. *)
+    environments here obey both and keep a {!log} of every bcast/ack
+    pair. *)
 
 type receptions
 (** The [Recv]s of one payload, packed one int each; read them with

@@ -105,10 +105,15 @@ let run ?observer ?stop ?sink ?metrics ?faults ?revive ?reception ?tick t
     | None -> observer
     | Some sink ->
         (* Interleave the protocol stream with the engine's structural
-           one, as Service.run does. *)
-        let glue = Lb_obs.create ?metrics ~sink ~dual:t.dual ~params:t.params () in
+           one, as Service.run does.  The monitor never reads its
+           environment argument. *)
+        let monitor =
+          Lb_spec.monitor ~sink ?metrics ~dual:t.dual ~params:t.params
+            ~env:(Lb_env.one_shot ~n:(Dualgraph.Dual.n t.dual) ~bcasts:[])
+            ()
+        in
         let f record =
-          Lb_obs.observer glue record;
+          Lb_spec.observe monitor record;
           match observer with Some f -> f record | None -> ()
         in
         Some f

@@ -10,6 +10,9 @@
 
 type outcome = {
   report : Lb_spec.report;  (** the spec monitor's verdicts *)
+  violations : Lb_spec.violation list;
+      (** the monitor's deadline misses and δ breaches, in detection
+          order *)
   env_log : Lb_env.entry list;  (** per-bcast ack/reception log *)
   rounds_executed : int;
   obs_snapshots : Obs.Metrics.snapshot list;
@@ -55,10 +58,9 @@ val run :
     round record.
 
     [sink] turns on observability: the engine emits its structural
-    events into it and a {!Lb_obs} translator adds the protocol events,
-    interleaved in causal order (an {!Obs.Audit} consumer registered on
-    the sink before the call sees the complete stream).  [metrics], used
-    together with [sink], additionally maintains the conventional
+    events into it and the spec monitor adds the protocol events,
+    interleaved in causal order (see {!Lb_spec.monitor}).  [metrics],
+    used together with [sink], additionally maintains the conventional
     instruments and fills [obs_snapshots] with one labeled snapshot per
     completed phase.  Neither option perturbs the execution: traces,
     verdicts and RNG draws are identical with and without them.

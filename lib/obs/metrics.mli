@@ -16,7 +16,7 @@
     runs, whose observation counts would make raw storage unbounded.
 
     {!snapshot} captures every metric's current value under a label;
-    [Localcast.Lb_obs] takes one per LBAlg phase.  {!write_json} dumps a
+    [Localcast.Lb_spec]'s monitor takes one per LBAlg phase.  {!write_json} dumps a
     snapshot list as a [BENCH_obs.json]-style artifact (same shape
     discipline as [BENCH_micro.json]: top-level [git_rev], trailing
     newline, fully escaped strings). *)

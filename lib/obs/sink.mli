@@ -8,9 +8,9 @@
       oldest retained event once full — long runs keep a bounded recent
       window instead of growing without limit), and
     + hands the event synchronously to every registered {!on_event}
-      consumer, so online analyses (the {!Audit} monitor, metric
-      counting, live filtering) see the {e complete} stream even when the
-      ring has long since wrapped.
+      consumer, so online analyses (metric counting, live filtering)
+      see the {e complete} stream even when the ring has long since
+      wrapped.
 
     The disabled state is represented by absence: instrumented code takes
     a [Sink.t option] and emits nothing when it is [None], so a disabled

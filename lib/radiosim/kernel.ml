@@ -489,7 +489,7 @@ let run ~name ~tiles ~activation ?observer ?stop ?sink ?metrics ?faults
           match stop with Some p when p record -> continue := false | _ -> ()
         end;
         (* Round_end comes after the observer so that protocol-level
-           events a translating observer emits (Localcast.Lb_obs) land
+           events an observer emits (the Localcast.Lb_spec monitor) land
            inside the round's bracket. *)
         (match sink with
         | None -> ()

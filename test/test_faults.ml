@@ -1,6 +1,6 @@
 (* Tests of the fault-injection layer: plan construction and parsing,
    engine crash/restart/jam semantics, the Crash/Restart observability
-   events, the fault-aware spec auditor, and the property that an empty
+   events, the fault-aware spec monitor, and the property that an empty
    plan leaves the engine bit-identical to a fault-free run. *)
 
 open Core
@@ -14,7 +14,6 @@ module M = Localcast.Messages
 module Rng = Prng.Rng
 module Plan = Faults.Plan
 module E = Obs.Event
-module Audit = Obs.Audit
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -253,94 +252,98 @@ let test_crash_restart_events () =
       | Error msg -> Alcotest.failf "parse of %s failed: %s" line msg)
     [ E.Crash { round = 4; node = 1 }; E.Restart { round = 8; node = 1 } ]
 
-(* --- fault-aware auditing: fixtures built directly from events --- *)
+(* --- fault-aware spec monitoring: scripted round records under a plan --- *)
 
-let feed_rounds audit ~until events_at =
-  for r = 0 to until do
-    Audit.observe audit (E.Round_start { round = r });
-    List.iter (Audit.observe audit) (events_at r);
-    Audit.observe audit
-      (E.Round_end { round = r; transmitters = 0; deliveries = 0; collisions = 0 })
-  done
+module Script = Lb_script
+module S = Localcast.Lb_spec
 
 let test_audit_crash_waives_missing_ack () =
   (* A sender crashes inside its ack window: no Missing_ack. *)
-  let faulted = Audit.create ~t_ack:5 () in
-  feed_rounds faulted ~until:10 (fun r ->
-      if r = 0 then [ E.Bcast { round = 0; node = 3; uid = 1 } ]
-      else if r = 3 then [ E.Crash { round = 3; node = 3 } ]
-      else []);
-  Audit.finish faulted;
-  checki "no violations under crash" 0 (List.length (Audit.violations faulted));
-  (* Control: same stream without the crash is a Missing_ack. *)
-  let control = Audit.create ~t_ack:5 () in
-  feed_rounds control ~until:10 (fun r ->
-      if r = 0 then [ E.Bcast { round = 0; node = 3; uid = 1 } ] else []);
-  Audit.finish control;
-  match Audit.violations control with
-  | [ { Audit.kind = Audit.Missing_ack { bcast_round = 0 }; node = 3; _ } ] -> ()
-  | vs -> Alcotest.failf "control: expected one Missing_ack, got %d" (List.length vs)
+  let dual = Script.dual ~n:4 [] in
+  let params = Script.params ~phase_len:5 ~t_ack:5 () in
+  let bcast = function 0 -> [ Script.Bcast { node = 3; uid = 1 } ] | _ -> [] in
+  let _, faulted =
+    Script.run
+      ~faults:(Plan.make ~n:4 ~crashes:[ (3, 3) ] ())
+      ~dual ~params ~rounds:11 bcast
+  in
+  checki "no violations under crash" 0 (List.length faulted);
+  (* Control: the same script without the crash is a Missing_ack. *)
+  let _, control = Script.run ~dual ~params ~rounds:11 bcast in
+  Script.check_violations "control"
+    [ (S.Missing_ack { bcast_round = 0 }, 3, 6,
+       "round 6: bcast of node 3 (uid 1, issued round 0) unacknowledged \
+        after t_ack = 5 rounds") ]
+    control
 
 let test_audit_crash_waives_late_ack () =
   (* An ack arriving after the deadline is not Late when the sender was
-     down in between (its obligation was waived at the crash). *)
-  let faulted = Audit.create ~t_ack:3 () in
-  feed_rounds faulted ~until:4 (fun r ->
-      if r = 0 then [ E.Bcast { round = 0; node = 2; uid = 9 } ]
-      else if r = 2 then
-        [ E.Crash { round = 2; node = 2 }; E.Restart { round = 2; node = 2 } ]
-      else if r = 4 then [ E.Ack { round = 4; node = 2; uid = 9; latency = 4 } ]
-      else []);
-  Audit.finish faulted;
-  checki "no late ack under crash" 0 (List.length (Audit.violations faulted));
-  let control = Audit.create ~t_ack:3 () in
-  feed_rounds control ~until:4 (fun r ->
-      if r = 0 then [ E.Bcast { round = 0; node = 2; uid = 9 } ]
-      else if r = 4 then [ E.Ack { round = 4; node = 2; uid = 9; latency = 4 } ]
-      else []);
-  Audit.finish control;
-  match Audit.violations control with
-  | [ { Audit.kind = Audit.Late_ack { latency = 4 }; node = 2; _ } ] -> ()
-  | vs -> Alcotest.failf "control: expected one Late_ack, got %d" (List.length vs)
+     down in between: its timeliness claim is waived. *)
+  let dual = Script.dual ~n:3 [] in
+  let params = Script.params ~phase_len:3 ~t_ack:3 () in
+  let script = function
+    | 0 -> [ Script.Bcast { node = 2; uid = 9 } ]
+    | 4 -> [ Script.Ack { node = 2; uid = 9 } ]
+    | _ -> []
+  in
+  let _, faulted =
+    Script.run
+      ~faults:(Plan.make ~n:3 ~crashes:[ (2, 2) ] ~restarts:[ (2, 3) ] ())
+      ~dual ~params ~rounds:5 script
+  in
+  checki "no late ack under crash" 0 (List.length faulted);
+  let _, control = Script.run ~dual ~params ~rounds:5 script in
+  Script.check_violations "control"
+    [ (S.Late_ack { latency = 4 }, 2, 4,
+       "round 4: ack of node 2 (uid 9) took 4 rounds (t_ack = 3)") ]
+    control
 
 let test_audit_crash_waives_progress () =
   (* Receiver 0 crashes mid-phase while its neighbor 1 broadcasts all
      phase: no Progress_miss for the dead receiver. *)
-  let g = [| [| 1 |]; [| 0 |] |] in
-  let stream crash audit =
-    Audit.observe audit (E.Phase_start { round = 0; phase = 0; preamble = false });
-    feed_rounds audit ~until:3 (fun r ->
-        if r = 0 then [ E.Bcast { round = 0; node = 1; uid = 7 } ]
-        else if r = 2 && crash then [ E.Crash { round = 2; node = 0 } ]
-        else []);
-    Audit.observe audit (E.Phase_start { round = 4; phase = 1; preamble = false });
-    Audit.finish audit
+  let dual = Script.dual ~n:2 [ (0, 1) ] in
+  let params = Script.params ~phase_len:4 ~t_ack:1000 () in
+  let bcast = function 0 -> [ Script.Bcast { node = 1; uid = 7 } ] | _ -> [] in
+  let _, faulted =
+    Script.run
+      ~faults:(Plan.make ~n:2 ~crashes:[ (0, 2) ] ())
+      ~dual ~params ~rounds:5 bcast
   in
-  let faulted = Audit.create ~t_ack:1000 ~t_prog:4 ~g () in
-  stream true faulted;
-  checki "no progress miss for a dead receiver" 0
-    (List.length (Audit.violations faulted));
-  let control = Audit.create ~t_ack:1000 ~t_prog:4 ~g () in
-  stream false control;
-  (* finish also judges the (empty) trailing phase, so scope the control
-     assertion to phase 0 — the phase the crash case waived. *)
-  let phase0 =
-    List.filter
-      (fun v ->
-        match v.Audit.kind with
-        | Audit.Progress_miss { phase = 0 } -> true
-        | _ -> false)
-      (Audit.violations control)
+  checki "no progress miss for a dead receiver" 0 (List.length faulted);
+  (* The control's trailing partial phase 1 owes nothing, so phase 0's
+     miss is the only violation. *)
+  let _, control = Script.run ~dual ~params ~rounds:5 bcast in
+  Script.check_violations "control"
+    [ (S.Progress_miss { phase = 0 }, 0, 4,
+       "round 4: node 0 missed the progress deadline of phase 0 (a reliable \
+        neighbor was active all phase, no qualifying reception)") ]
+    control
+
+let test_restarted_sender_stays_active () =
+  (* A sender that crashes with its bcast outstanding and restarts keeps
+     that bcast's activity window: the report counts it as actively
+     broadcasting in every later phase it is alive for, so its
+     neighbor owes progress in phase 1.  (The event auditor this monitor
+     replaced closed the window at the crash; the report's rule is
+     kept.) *)
+  let dual = Script.dual ~n:2 [ (0, 1) ] in
+  let params = Script.params ~phase_len:4 ~t_ack:1000 () in
+  let report, v =
+    Script.run
+      ~faults:(Plan.make ~n:2 ~crashes:[ (1, 1) ] ~restarts:[ (1, 2) ] ())
+      ~dual ~params ~rounds:9
+      (function 0 -> [ Script.Bcast { node = 1; uid = 3 } ] | _ -> [])
   in
-  match phase0 with
-  | [ { Audit.node = 0; _ } ] -> ()
-  | vs ->
-      Alcotest.failf "control: expected one phase-0 Progress_miss, got %d"
-        (List.length vs)
+  checki "one opportunity (phase 1)" 1 report.S.progress_opportunities;
+  Script.check_violations "phase-1 miss"
+    [ (S.Progress_miss { phase = 1 }, 0, 8,
+       "round 8: node 0 missed the progress deadline of phase 1 (a reliable \
+        neighbor was active all phase, no qualifying reception)") ]
+    v
 
 (* Acceptance check: a full service run under a churn plan produces zero
    false deterministic-spec breaches (Late_ack / Missing_ack) from the
-   stream auditor. *)
+   survivor-relative monitor. *)
 let test_audit_no_false_breaches_under_churn () =
   let rng = Rng.of_int 42 in
   let dual = Geo.random_field ~rng ~n:16 ~width:3.5 ~height:3.5 ~r:1.5 ~gray_g':0.5 () in
@@ -352,21 +355,17 @@ let test_audit_no_false_breaches_under_churn () =
     Plan.churn ~seed:42 ~n ~rounds ~rate:0.004
       ~downtime:params.Localcast.Params.phase_len ()
   in
-  let sink = Obs.Sink.create ~capacity:(max 65536 (rounds * ((2 * n) + 16))) () in
-  let auditor = Localcast.Lb_obs.auditor ~dual ~params () in
-  Obs.Sink.on_event sink (Audit.observe auditor);
-  let (_ : Localcast.Service.outcome) =
-    Localcast.Service.run ~sink ~faults ~dual ~params ~senders:[ 0; 5 ] ~phases
+  let outcome =
+    Localcast.Service.run ~faults ~dual ~params ~senders:[ 0; 5 ] ~phases
       ~seed:42 ()
   in
-  Audit.finish auditor;
   let ack_breaches =
     List.filter
       (fun v ->
-        match v.Audit.kind with
-        | Audit.Late_ack _ | Audit.Missing_ack _ -> true
-        | Audit.Progress_miss _ | Audit.Delta_breach _ -> false)
-      (Audit.violations auditor)
+        match v.S.kind with
+        | S.Late_ack _ | S.Missing_ack _ -> true
+        | S.Progress_miss _ | S.Delta_breach _ -> false)
+      outcome.Localcast.Service.violations
   in
   checki "no false ack breaches under churn" 0 (List.length ack_breaches)
 
@@ -454,46 +453,6 @@ let qcheck_cases =
         in
         let reference = run_trace ~reference:true seed in
         traces_equal plain faulted && traces_equal plain reference);
-    Test.make
-      ~name:"audit verdicts: online consumer = offline replay of the stream"
-      ~count:6 small_int
-      (fun seed ->
-        let rng = Rng.of_int (seed + 5) in
-        let n = 6 + Rng.int rng 8 in
-        let dual =
-          Geo.random_field ~rng ~n ~width:3.0 ~height:3.0 ~r:1.5 ~gray_g':0.5 ()
-        in
-        let n = Dual.n dual in
-        let params = Localcast.Params.of_dual ~eps1:0.1 ~tack_phases:2 dual in
-        let phases = 2 in
-        let rounds = phases * params.Localcast.Params.phase_len in
-        let faults =
-          Plan.churn ~seed ~n ~rounds ~rate:0.002
-            ~downtime:params.Localcast.Params.phase_len ()
-        in
-        let sink =
-          Obs.Sink.create ~capacity:(max 65536 (rounds * ((2 * n) + 16))) ()
-        in
-        let online = Localcast.Lb_obs.auditor ~dual ~params () in
-        Obs.Sink.on_event sink (Audit.observe online);
-        let (_ : Localcast.Service.outcome) =
-          Localcast.Service.run ~sink ~faults ~dual ~params ~senders:[ 0 ]
-            ~phases ~seed ()
-        in
-        Audit.finish online;
-        if Obs.Sink.dropped sink > 0 then
-          Test.fail_report "sink dropped events; offline replay incomplete";
-        let offline = Localcast.Lb_obs.auditor ~dual ~params () in
-        Obs.Sink.iter sink (Audit.observe offline);
-        Audit.finish offline;
-        let summary a =
-          List.map
-            (fun v -> (v.Audit.kind, v.Audit.node, v.Audit.round, v.Audit.detail))
-            (Audit.violations a)
-        in
-        summary online = summary offline
-        && Audit.ack_latencies online = Audit.ack_latencies offline
-        && Audit.rounds_seen online = Audit.rounds_seen offline);
   ]
 
 let suite =
@@ -519,6 +478,8 @@ let suite =
       test_audit_crash_waives_late_ack;
     Alcotest.test_case "audit: crash waives progress obligations" `Quick
       test_audit_crash_waives_progress;
+    Alcotest.test_case "audit: restarted sender keeps its window" `Quick
+      test_restarted_sender_stays_active;
     Alcotest.test_case "audit: zero false ack breaches under churn" `Slow
       test_audit_no_false_breaches_under_churn;
   ]

@@ -25,7 +25,7 @@
    phases; and under churn with Service.reviver, so revived nodes run
    fresh SeedAlg preambles from their revival streams) pin the paper's
    stack: seed draws, leader election, the shared body-round bits and
-   the protocol events of Lb_obs.
+   the protocol events of the Lb_spec monitor.
 
    Regenerating the corpus (after an intentional semantic change):
 

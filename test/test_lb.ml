@@ -588,6 +588,67 @@ let test_decide_absorb_allocation () =
   checkb "senders were acked and reissued" true (issued.(0) = phases);
   checkb "data was received" true (!delivered > 0)
 
+(* The monitor on lb-field's configuration (E9's local parameters, 4
+   nodes per unit², every 10th node a saturated sender), without a sink.
+   Returns the monitor, its finished report, the dual graph and the
+   minor words allocated inside [Lb_spec.observe] per node-round. *)
+let lb_field_monitor ~n ~phases =
+  let side = sqrt (float_of_int n /. 4.0) in
+  let dual =
+    Geo.random_field ~rng:(Rng.of_int 3) ~n ~width:side ~height:side ~r:1.5
+      ~gray_g':0.5 ()
+  in
+  let n = Dual.n dual in
+  let params =
+    Params.make ~delta:32 ~delta':48 ~r:1.5 ~eps1:0.1 ~tack_phases:1 ()
+  in
+  let envt = Lb_env.saturate ~n ~senders:(List.init (n / 10) (fun i -> i * 10)) () in
+  let monitor = Lb_spec.monitor ~dual ~params ~env:envt () in
+  let words = ref 0.0 in
+  let observer record =
+    let w0 = Gc.minor_words () in
+    Lb_spec.observe monitor record;
+    words := !words +. (Gc.minor_words () -. w0)
+  in
+  let rounds = phases * params.Params.phase_len in
+  let (_ : int) =
+    Engine.run ~observer ~dual
+      ~scheduler:(Sch.bernoulli ~seed:3 ~p:0.5)
+      ~nodes:(Lb_alg.network params ~rng:(Rng.of_int 3) ~n)
+      ~env:(Lb_env.env envt) ~rounds ()
+  in
+  let report = Lb_spec.finish monitor in
+  (monitor, report, dual, !words /. float_of_int (n * rounds))
+
+let test_spec_memory_bounded () =
+  (* Memory follows the outstanding bcasts, not the history: a bcast's
+     receivers are dropped at its ack.  The measure leaves out the dual
+     graph and the output the report and violation log keep by design
+     (3 words per progress latency). *)
+  let live phases =
+    let monitor, report, dual, _ = lb_field_monitor ~n:400 ~phases in
+    Obj.reachable_words (Obj.repr monitor)
+    - Obj.reachable_words (Obj.repr dual)
+    - (3 * Array.length report.Lb_spec.progress_latencies)
+    - Obj.reachable_words (Obj.repr (Lb_spec.violations monitor))
+  in
+  let w3 = live 3 and w12 = live 12 in
+  checkb
+    (Printf.sprintf "live words after 12 phases (%d) within 10%% of 3 (%d)" w12 w3)
+    true
+    (float_of_int w12 <= 1.1 *. float_of_int w3)
+
+let test_spec_observe_allocation () =
+  (* The no-sink walk allocates per bcast, recv and ack, never per node:
+     one closure or event per node-round would break the bound. *)
+  List.iter
+    (fun n ->
+      let _, _, _, per = lb_field_monitor ~n ~phases:3 in
+      checkb
+        (Printf.sprintf "n=%d: %.4f minor words per node-round <= 0.05" n per)
+        true (per <= 0.05))
+    [ 400; 1600 ]
+
 let suite =
   List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
     [
@@ -625,4 +686,6 @@ let suite =
       ("spec partial phase ignored", test_spec_partial_phase_ignored);
       ("spec rates empty", test_spec_rates_empty);
       ("decide + absorb allocation", test_decide_absorb_allocation);
+      ("spec monitor memory bounded", test_spec_memory_bounded);
+      ("spec observe allocation", test_spec_observe_allocation);
     ]

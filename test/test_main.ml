@@ -16,7 +16,6 @@ let () =
       ("oracle-ablation", Test_oracle.suite);
       ("io-render", Test_io_render.suite);
       ("hypothesis", Test_hypothesis.suite);
-      ("lb-probe", Test_lbprobe.suite);
       ("engine-properties", Test_engine_props.suite);
       ("lb-properties", Test_lb_props.suite);
       ("mac-spec", Test_macspec.suite);

@@ -1,8 +1,9 @@
 (* Tests for the observability layer: the event sink (ring semantics,
    JSONL round-trips), the flat-JSON parser's rejections, the metrics
-   registry, the spec auditor (unit cases plus a QCheck equivalence with
-   an offline reference scan), and the engine/service integration —
-   including the bit-identity of uninstrumented traces. *)
+   registry, the spec monitor's violations (scripted round records plus
+   a QCheck equivalence with an offline reference scan), and the
+   engine/service integration — including the bit-identity of
+   uninstrumented traces. *)
 
 open Core
 
@@ -22,7 +23,6 @@ module Rng = Prng.Rng
 module E = Obs.Event
 module Sink = Obs.Sink
 module Metrics = Obs.Metrics
-module Audit = Obs.Audit
 
 let ev i = E.Mark { round = i; node = -1; label = Printf.sprintf "m%d" i }
 
@@ -255,139 +255,184 @@ let test_metrics_artifact () =
       checkb "git_rev escaped" true (contains body "rev\\\"with\\\\quote");
       checkb "counter name escaped" true (contains body "evil\\\"name"))
 
-(* --- auditor unit cases --- *)
+(* --- spec monitor violations: scripted round records --- *)
 
-let round_ends a ~from ~upto =
-  for r = from to upto do
-    Audit.observe a
-      (E.Round_end { round = r; transmitters = 0; deliveries = 0; collisions = 0 })
-  done
+module Script = Lb_script
+module S = L.Lb_spec
 
 let count_kind violations pred =
-  List.length (List.filter (fun v -> pred v.Audit.kind) violations)
+  List.length (List.filter (fun v -> pred v.S.kind) violations)
+
+(* An edgeless topology: deadline cases carry no progress obligations. *)
+let isolated n = Script.dual ~n []
+
+let ack_case ~t_ack ~rounds steps_at =
+  let dual = isolated 4 in
+  Script.run ~dual ~params:(Script.params ~phase_len:t_ack ~t_ack ()) ~rounds
+    steps_at
 
 let test_audit_ack_ok () =
-  let a = Audit.create ~t_ack:5 () in
-  Audit.observe a (E.Bcast { round = 0; node = 1; uid = 0 });
-  round_ends a ~from:0 ~upto:3;
-  Audit.observe a (E.Ack { round = 4; node = 1; uid = 0; latency = 4 });
-  round_ends a ~from:4 ~upto:6;
-  Audit.finish a;
-  checki "no violations" 0 (List.length (Audit.violations a));
-  checkb "latency recorded" true (Audit.ack_latencies a = [ (1, 0, 4) ])
+  let report, v =
+    ack_case ~t_ack:5 ~rounds:7 (function
+      | 0 -> [ Script.Bcast { node = 1; uid = 0 } ]
+      | 4 -> [ Script.Ack { node = 1; uid = 0 } ]
+      | _ -> [])
+  in
+  checki "no violations" 0 (List.length v);
+  checki "ack counted" 1 report.S.ack_count;
+  checki "latency recorded" 4 report.S.max_ack_latency
 
 let test_audit_late_ack () =
-  let a = Audit.create ~t_ack:5 () in
-  Audit.observe a (E.Bcast { round = 0; node = 1; uid = 0 });
-  round_ends a ~from:0 ~upto:5;
   (* latency t_ack + 1: too late, but not yet flagged missing online *)
-  Audit.observe a (E.Ack { round = 6; node = 1; uid = 0; latency = 6 });
-  round_ends a ~from:6 ~upto:6;
-  Audit.finish a;
-  let v = Audit.violations a in
-  checki "one violation" 1 (List.length v);
-  checki "late kind" 1
-    (count_kind v (function Audit.Late_ack { latency = 6 } -> true | _ -> false))
+  let report, v =
+    ack_case ~t_ack:5 ~rounds:7 (function
+      | 0 -> [ Script.Bcast { node = 1; uid = 0 } ]
+      | 6 -> [ Script.Ack { node = 1; uid = 0 } ]
+      | _ -> [])
+  in
+  Script.check_violations "late ack"
+    [ (S.Late_ack { latency = 6 }, 1, 6,
+       "round 6: ack of node 1 (uid 0) took 6 rounds (t_ack = 5)") ]
+    v;
+  checki "report: one late ack" 1 report.S.late_ack_count
 
 let test_audit_missing_then_ack () =
-  (* Overdue at a Round_end: flagged missing online; the eventual ack
-     records a latency but no second violation for the same bcast. *)
-  let a = Audit.create ~t_ack:5 () in
-  Audit.observe a (E.Bcast { round = 0; node = 1; uid = 0 });
-  round_ends a ~from:0 ~upto:7;
-  Audit.observe a (E.Ack { round = 8; node = 1; uid = 0; latency = 8 });
-  round_ends a ~from:8 ~upto:8;
-  Audit.finish a;
-  let v = Audit.violations a in
-  checki "exactly one violation" 1 (List.length v);
-  checki "missing kind" 1
-    (count_kind v (function
-      | Audit.Missing_ack { bcast_round = 0 } -> true
-      | _ -> false));
-  checkb "latency still recorded" true (Audit.ack_latencies a = [ (1, 0, 8) ])
+  (* Overdue at the end of round 6: flagged missing online; the eventual
+     ack records a latency but no second violation for the same bcast. *)
+  let report, v =
+    ack_case ~t_ack:5 ~rounds:9 (function
+      | 0 -> [ Script.Bcast { node = 1; uid = 0 } ]
+      | 8 -> [ Script.Ack { node = 1; uid = 0 } ]
+      | _ -> [])
+  in
+  Script.check_violations "missing then ack"
+    [ (S.Missing_ack { bcast_round = 0 }, 1, 6,
+       "round 6: bcast of node 1 (uid 0, issued round 0) unacknowledged \
+        after t_ack = 5 rounds") ]
+    v;
+  checki "latency still recorded" 8 report.S.max_ack_latency;
+  checki "report: late, not missing" 1
+    (report.S.late_ack_count + report.S.missing_ack_count)
 
 let test_audit_missing_at_finish () =
-  let a = Audit.create ~t_ack:5 () in
-  Audit.observe a (E.Bcast { round = 2; node = 3; uid = 1 });
-  round_ends a ~from:2 ~upto:7;
   (* rounds observed = 8, 8 - 2 = 6 > 5: missing only via the end rule *)
-  Audit.finish a;
-  let v = Audit.violations a in
-  checki "flagged at finish" 1
-    (count_kind v (function Audit.Missing_ack _ -> true | _ -> false));
-  (* within the window: a fresh auditor over fewer rounds stays clean *)
-  let b = Audit.create ~t_ack:5 () in
-  Audit.observe b (E.Bcast { round = 2; node = 3; uid = 1 });
-  round_ends b ~from:2 ~upto:6;
-  Audit.finish b;
-  checki "not yet overdue" 0 (List.length (Audit.violations b))
+  let bcast = function 2 -> [ Script.Bcast { node = 3; uid = 1 } ] | _ -> [] in
+  let report, v = ack_case ~t_ack:5 ~rounds:8 bcast in
+  Script.check_violations "missing at finish"
+    [ (S.Missing_ack { bcast_round = 2 }, 3, 7,
+       "round 7: bcast of node 3 (uid 1, issued round 2) unacknowledged \
+        after t_ack = 5 rounds") ]
+    v;
+  checki "report: one missing" 1 report.S.missing_ack_count;
+  (* within the window: fewer rounds stay clean *)
+  let _, v = ack_case ~t_ack:5 ~rounds:7 bcast in
+  checki "not yet overdue" 0 (List.length v)
 
 let test_audit_delta_breach () =
-  let g'_closed = [| [| 0; 1 |]; [| 1; 0 |]; [| 2 |] |] in
-  let a = Audit.create ~t_ack:100 ~delta_bound:1 ~g'_closed () in
-  Audit.observe a (E.Phase_start { round = 0; phase = 0; preamble = true });
-  Audit.observe a (E.Seed_commit { round = 1; node = 0; owner = 0 });
-  Audit.observe a (E.Seed_commit { round = 1; node = 1; owner = 1 });
-  Audit.observe a (E.Seed_commit { round = 1; node = 2; owner = 1 });
-  round_ends a ~from:0 ~upto:3;
-  Audit.observe a (E.Phase_start { round = 4; phase = 1; preamble = true });
-  Audit.finish a;
-  let v = Audit.violations a in
-  (* nodes 0 and 1 each see two owners; node 2 sees one *)
-  checki "two breaches" 2
-    (count_kind v (function
-      | Audit.Delta_breach { owners = 2; bound = 1 } -> true
-      | _ -> false));
-  checkb "node 2 clean" true
-    (List.for_all (fun viol -> viol.Audit.node <> 2) v)
+  (* G' = {0-1}, node 2 isolated: nodes 0 and 1 each see two owners, node
+     2 sees one.  The check runs at the next phase's first round. *)
+  let dual = Script.dual ~n:3 ~unreliable:[ (0, 1) ] [] in
+  let params = Script.params ~delta_bound:1 ~phase_len:4 ~t_ack:100 () in
+  let _, v =
+    Script.run ~dual ~params ~rounds:5 (function
+      | 1 ->
+          [ Script.Commit { node = 0; owner = 0 };
+            Script.Commit { node = 1; owner = 1 };
+            Script.Commit { node = 2; owner = 1 } ]
+      | _ -> [])
+  in
+  let breach u =
+    ( S.Delta_breach { owners = 2; bound = 1 }, u, 4,
+      Printf.sprintf
+        "round 4: node %d sees 2 distinct seed owners in its closed \
+         G'-neighborhood (bound delta = 1)"
+        u )
+  in
+  Script.check_violations "delta breach" [ breach 0; breach 1 ] v
+
+let progress_miss ~node ~round ~phase =
+  ( S.Progress_miss { phase }, node, round,
+    Printf.sprintf
+      "round %d: node %d missed the progress deadline of phase %d (a \
+       reliable neighbor was active all phase, no qualifying reception)"
+      round node phase )
 
 let test_audit_progress () =
-  let g = [| [| 1 |]; [| 0 |] |] in
-  (* Node 1 broadcasts through the whole phase and is never acked; node 0
-     has the opportunity.  Without a Progress event it must be flagged,
-     with one it must not. *)
+  (* Node 1 broadcasts through the whole phase; node 0 has the
+     opportunity.  Without a qualifying reception it must be flagged,
+     with one it must not.  The ack lands in the phase's last round: node
+     1 stays active through it (so the phase-0 obligation stands) but
+     carries no obligation into phase 1. *)
+  let dual = Script.dual ~n:2 [ (0, 1) ] in
+  let params = Script.params ~phase_len:4 ~t_ack:1000 () in
   let run_phase ~with_progress =
-    let a = Audit.create ~t_ack:1000 ~t_prog:4 ~g () in
-    Audit.observe a (E.Phase_start { round = 0; phase = 0; preamble = true });
-    Audit.observe a (E.Bcast { round = 0; node = 1; uid = 0 });
-    if with_progress then
-      Audit.observe a (E.Progress { round = 2; node = 0; latency = 2 });
-    round_ends a ~from:0 ~upto:2;
-    (* the ack lands in the phase's last round: node 1 stays active
-       through it (so the phase-0 obligation stands) but carries no
-       obligation into phase 1 *)
-    Audit.observe a (E.Ack { round = 3; node = 1; uid = 0; latency = 3 });
-    round_ends a ~from:3 ~upto:3;
-    Audit.observe a (E.Phase_start { round = 4; phase = 1; preamble = true });
-    round_ends a ~from:4 ~upto:4;
-    Audit.finish a;
-    Audit.violations a
+    snd
+      (Script.run ~dual ~params ~rounds:5 (function
+        | 0 -> [ Script.Bcast { node = 1; uid = 0 } ]
+        | 2 when with_progress -> [ Script.Deliver { node = 0; src = 1; uid = 0 } ]
+        | 3 -> [ Script.Ack { node = 1; uid = 0 } ]
+        | _ -> []))
   in
-  let missed = run_phase ~with_progress:false in
-  checki "miss flagged once" 1
-    (count_kind missed (function
-      | Audit.Progress_miss { phase = 0 } -> true
-      | _ -> false));
-  checkb "flagged for the receiver" true
-    (List.for_all (fun v -> v.Audit.node = 0) missed);
+  Script.check_violations "miss flagged once"
+    [ progress_miss ~node:0 ~round:4 ~phase:0 ]
+    (run_phase ~with_progress:false);
   (* node 1 is the active sender: its own neighbor (node 0) is not
      active, so node 1 carries no obligation *)
-  let ok = run_phase ~with_progress:true in
-  checki "no miss with progress" 0 (List.length ok)
+  checki "no miss with progress" 0 (List.length (run_phase ~with_progress:true))
 
-(* --- QCheck: online auditor == offline reference scan --- *)
+let test_partial_phase_exempt () =
+  (* A run that stops mid-phase: the trailing partial phase owes no
+     progress even though node 1 is active throughout it.  (The event
+     auditor this monitor replaced judged the partial phase and flagged
+     it; the monitor's rule is the report's.) *)
+  let dual = Script.dual ~n:2 [ (0, 1) ] in
+  let params = Script.params ~phase_len:4 ~t_ack:1000 () in
+  let report, v =
+    Script.run ~dual ~params ~rounds:6 (function
+      | 0 -> [ Script.Bcast { node = 1; uid = 0 } ]
+      | 2 -> [ Script.Deliver { node = 0; src = 1; uid = 0 } ]
+      | _ -> [])
+  in
+  checki "no violations" 0 (List.length v);
+  checki "one opportunity (phase 0)" 1 report.S.progress_opportunities;
+  (* The field run that first showed the case: 1.5 phases of LBAlg. *)
+  let dual =
+    Geo.random_field ~rng:(Rng.of_int 94) ~n:24 ~width:3.0 ~height:3.0 ~r:1.5
+      ~gray_g':0.5 ()
+  in
+  let n = Dual.n dual in
+  let params = Params.of_dual ~tack_phases:1 ~eps1:0.25 dual in
+  let rounds = params.Params.phase_len * 3 / 2 in
+  let envt = L.Lb_env.saturate ~n ~senders:[ 0; 5 ] () in
+  let m = S.monitor ~dual ~params ~env:envt () in
+  let (_ : int) =
+    Engine.run ~observer:(S.observe m) ~dual
+      ~scheduler:(Sch.bernoulli ~seed:4 ~p:0.5)
+      ~nodes:(L.Lb_alg.network params ~rng:(Rng.of_int 4) ~n)
+      ~env:(L.Lb_env.env envt) ~rounds ()
+  in
+  let report = S.finish m in
+  checki "field: progress opportunities (phase 0 only)" 4
+    report.S.progress_opportunities;
+  checki "field: progress failures" 0 report.S.progress_failures;
+  checki "field: no progress-miss violations" 0
+    (count_kind (S.violations m) (function S.Progress_miss _ -> true | _ -> false))
+
+(* --- QCheck: monitor violations == offline reference scan --- *)
 
 (* One scripted ack history: per node at most one bcast, acked or not.
    The offline rule (straight from the LB spec): flag node u iff
    - acked and ack_round - bcast_round > t_ack, or
-   - never acked and rounds_observed - bcast_round > t_ack. *)
+   - never acked and rounds_observed - bcast_round > t_ack.
+   The monitor's t_ack is a positive multiple of its phase length, so
+   t_ack ranges over 1..7. *)
 let audit_equivalence_property =
   let open QCheck in
   let scenario =
     let node_plan =
       triple (int_bound 6) (int_bound 12) (option (int_bound 10))
     in
-    pair (list_of_size Gen.(1 -- 8) node_plan) (int_bound 6)
+    pair (list_of_size Gen.(1 -- 8) node_plan) (int_range 1 7)
   in
   Test.make ~count:300 ~name:"auditor flags exactly the offline deadline misses"
     scenario
@@ -409,33 +454,29 @@ let audit_equivalence_property =
           0 plans
         + 1
       in
-      let a = Audit.create ~t_ack () in
-      for r = 0 to horizon - 1 do
-        List.iter
-          (fun (node, b, _) ->
-            if b = r then Audit.observe a (E.Bcast { round = r; node; uid = 0 }))
-          plans;
-        List.iter
-          (fun (node, b, ack) ->
-            match ack with
-            | Some ar when ar = r ->
-                Audit.observe a
-                  (E.Ack { round = r; node; uid = 0; latency = r - b })
-            | _ -> ())
-          plans;
-        Audit.observe a
-          (E.Round_end
-             { round = r; transmitters = 0; deliveries = 0; collisions = 0 })
-      done;
-      Audit.finish a;
+      let _, violations =
+        Script.run
+          ~dual:(isolated (List.length plans))
+          ~params:(Script.params ~phase_len:t_ack ~t_ack ())
+          ~rounds:horizon
+          (fun r ->
+            List.concat_map
+              (fun (node, b, ack) ->
+                (if b = r then [ Script.Bcast { node; uid = 0 } ] else [])
+                @
+                match ack with
+                | Some ar when ar = r -> [ Script.Ack { node; uid = 0 } ]
+                | _ -> [])
+              plans)
+      in
       let flagged_online =
         List.sort_uniq compare
           (List.filter_map
              (fun v ->
-               match v.Audit.kind with
-               | Audit.Late_ack _ | Audit.Missing_ack _ -> Some v.Audit.node
+               match v.S.kind with
+               | S.Late_ack _ | S.Missing_ack _ -> Some v.S.node
                | _ -> None)
-             (Audit.violations a))
+             violations)
       in
       let flagged_offline =
         List.sort_uniq compare
@@ -551,7 +592,7 @@ let test_engine_round_end_counts () =
       | _ -> ());
   checki "all rounds bracketed" 40 !rounds
 
-(* --- service integration: glue + auditor vs Lb_spec --- *)
+(* --- service integration: violations and instruments vs the report --- *)
 
 let test_service_obs_matches_spec () =
   let dual = Geo.random_field ~rng:(Rng.of_int 99) ~n:24 ~width:3.0 ~height:3.0 ~r:1.5 ~gray_g':0.5 () in
@@ -560,27 +601,24 @@ let test_service_obs_matches_spec () =
   let capacity = phases * params.Params.phase_len * (2 * Dual.n dual + 8) in
   let sink = Sink.create ~capacity () in
   let metrics = Metrics.create () in
-  let auditor = L.Lb_obs.auditor ~dual ~params () in
-  Sink.on_event sink (Audit.observe auditor);
   let outcome =
     L.Service.run ~sink ~metrics ~dual ~params ~senders:[ 0; 5 ] ~phases ~seed:31 ()
   in
-  Audit.finish auditor;
   let report = outcome.L.Service.report in
-  let v = Audit.violations auditor in
-  checki "ack counts agree" report.L.Lb_spec.ack_count
-    (List.length (Audit.ack_latencies auditor));
-  checki "deadline misses agree"
-    (report.L.Lb_spec.late_ack_count + report.L.Lb_spec.missing_ack_count)
-    (count_kind v (function
-      | Audit.Late_ack _ | Audit.Missing_ack _ -> true
-      | _ -> false));
-  checki "progress misses agree" report.L.Lb_spec.progress_failures
-    (count_kind v (function Audit.Progress_miss _ -> true | _ -> false));
-  let max_latency =
-    List.fold_left (fun acc (_, _, l) -> max acc l) 0 (Audit.ack_latencies auditor)
+  let v = outcome.L.Service.violations in
+  let acks = Sink.fold sink ~init:[] ~f:(fun acc e ->
+      match e with E.Ack { latency; _ } -> latency :: acc | _ -> acc)
   in
-  checki "max latency agrees" report.L.Lb_spec.max_ack_latency max_latency;
+  checki "ack counts agree" report.S.ack_count (List.length acks);
+  checki "deadline misses agree"
+    (report.S.late_ack_count + report.S.missing_ack_count)
+    (count_kind v (function
+      | S.Late_ack _ | S.Missing_ack _ -> true
+      | _ -> false));
+  checki "progress misses agree" report.S.progress_failures
+    (count_kind v (function S.Progress_miss _ -> true | _ -> false));
+  checki "max latency agrees" report.S.max_ack_latency
+    (List.fold_left max 0 acks);
   checki "one snapshot per phase" phases
     (List.length outcome.L.Service.obs_snapshots);
   (* the sink-enabled service outcome equals the plain one *)
@@ -589,6 +627,8 @@ let test_service_obs_matches_spec () =
   in
   checkb "identical report with and without sink" true
     (plain.L.Service.report = report);
+  checkb "identical violations with and without sink" true
+    (plain.L.Service.violations = v);
   (* bcast/ack counters line up with the spec report *)
   (match Metrics.summary (Metrics.histogram metrics "lb.ack_latency") with
   | Some s -> checki "ack histogram count" report.L.Lb_spec.ack_count s.Metrics.count
@@ -688,6 +728,8 @@ let suite =
       test_audit_missing_at_finish;
     Alcotest.test_case "audit: delta breach" `Quick test_audit_delta_breach;
     Alcotest.test_case "audit: progress obligations" `Quick test_audit_progress;
+    Alcotest.test_case "audit: trailing partial phase is exempt" `Quick
+      test_partial_phase_exempt;
     Alcotest.test_case "engine: sink does not perturb traces" `Quick
       test_sink_does_not_perturb_traces;
     Alcotest.test_case "engine: round_end counts" `Quick
